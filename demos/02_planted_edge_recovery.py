@@ -39,7 +39,7 @@ config = DetectorConfig(
 )
 stats = accumulate_all(bin_events(log, eps))
 for (i, j), s in sorted(stats.items()):
-    print(f"pair ({i}, {j}): score {pair_score(s, config):.4f} "
+    print(f"pair ({i}, {j}): score {pair_score(s, config.use_triples):.4f} "
           f"vs threshold {threshold:.4f}")
 graph = detect(stats, config, n=model.n)
 print("recovered:", graph.sorted_edges)

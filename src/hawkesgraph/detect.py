@@ -23,7 +23,15 @@ import numpy as np
 
 from .model import DependencyGraph
 from .simulation import EventLog
-from .stats import PairStatistics, _pair_sums, _window_occupancy, accumulate_all, bin_events
+from .stats import (
+    PairStatistics,
+    _bin_index,
+    _node_pair_sums,
+    _packed_occupancy,
+    _window_anchors,
+    accumulate_all,
+    bin_events,
+)
 
 __all__ = [
     "DetectorConfig",
@@ -183,6 +191,12 @@ def calibrate_threshold(
     Each surrogate circularly shifts one node's events by a uniform offset
     (node k % n on the k-th surrogate), then scores every pair involving the
     shifted node.  The pooled quantile of those null scores is the threshold.
+
+    The log is binned and packed once.  A surrogate re-bins only the shifted
+    node's events into one counts row, packs it, and scores both orderings
+    against every other node's unchanged packed rows with the same popcount
+    kernel as ``accumulate_all``; the scores equal those of re-binning the
+    whole shifted log.
     """
     if not 0 < quantile < 1:
         raise ValueError("quantile must lie in (0, 1)")
@@ -190,27 +204,26 @@ def calibrate_threshold(
         raise ValueError("need at least one surrogate")
     if len(log) == 0:
         raise ValueError("cannot calibrate on an empty log")
+    if log.n < 2:
+        raise ValueError("calibration needs at least two nodes to pair")
+    grid = bin_events(log, epsilon)
+    anchors = _window_anchors(grid, 3)
+    b0, b1, b2 = _packed_occupancy(grid.counts, anchors)
+    t_eps = log.horizon * epsilon
     rng = np.random.default_rng(seed)
-    null_scores: list[float] = []
+    null_scores: list[np.ndarray] = []
     for k in range(n_surrogates):
         node = k % log.n
         offset = rng.uniform(0.0, log.horizon)
-        times = log.times.copy()
-        sel = log.nodes == node
-        times[sel] = np.mod(times[sel] + offset, log.horizon)
-        surrogate = EventLog(n=log.n, horizon=log.horizon, times=times, nodes=log.nodes.copy())
-        grid = bin_events(surrogate, epsilon)
-        # one occupancy pass per surrogate; scoring all pairs through
-        # accumulate() would redo it 2*(n-1) times
-        b0, b1, b2, k = _window_occupancy(grid, 3)
-        for other in range(log.n):
-            if other == node:
-                continue
-            for a, b in ((node, other), (other, node)):
-                d1, d2 = _pair_sums(b0, b1, b2, a, b)
-                stats = PairStatistics(a, b, d1, d2, k, epsilon, log.horizon)
-                null_scores.append(pair_score(stats, use_triples))
-    return float(np.quantile(np.array(null_scores), quantile))
+        shifted = np.mod(log.times[log.nodes == node] + offset, log.horizon)
+        row = np.bincount(_bin_index(shifted, epsilon, grid.bins), minlength=grid.bins)
+        pair, triple = _node_pair_sums(b0, b1, b2, *_packed_occupancy(row[None, :], anchors))
+        others = np.arange(log.n) != node
+        score = np.abs(pair[:, others]) / t_eps
+        if use_triples:
+            score = score + np.abs(triple[:, others]) / (t_eps * epsilon)
+        null_scores.append(score.ravel())
+    return float(np.quantile(np.concatenate(null_scores), quantile))
 
 
 def suggest_epsilon(log: EventLog, occupancy: float = 0.05) -> float:
@@ -239,6 +252,10 @@ def load_graph(path: str) -> tuple[DependencyGraph, DetectorConfig]:
         if not header.startswith("# hawkesgraph-graph "):
             raise ValueError(f"{path} is not a graph file")
         fields = dict(part.split("=", 1) for part in header[2:].split()[1:])
+        required = ("nodes", "epsilon", "horizon", "threshold", "source")
+        missing = [f for f in required if f not in fields]
+        if missing:
+            raise ValueError(f"{path}: graph header lacks the field {missing[0]!r}")
         edges = set()
         for line in fh:
             if not line.strip():

@@ -496,9 +496,12 @@ def _run_sweep_trial(
 def _worker_count() -> int:
     raw = os.environ.get("HAWKESGRAPH_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HAWKESGRAPH_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def sweep(config: Mapping | str | Path, out_dir: str | Path) -> Path:

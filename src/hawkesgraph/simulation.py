@@ -480,6 +480,9 @@ def load_events(path: str) -> EventLog:
         if not header.startswith("# hawkesgraph-events "):
             raise ValueError(f"{path} is not an event-log file")
         fields = dict(part.split("=", 1) for part in header[2:].split()[1:])
+        missing = [f for f in ("n", "horizon", "seed", "model") if f not in fields]
+        if missing:
+            raise ValueError(f"{path}: event-log header lacks the field {missing[0]!r}")
         times: list[float] = []
         nodes: list[int] = []
         prev = (-math.inf, -1)

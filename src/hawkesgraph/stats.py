@@ -10,6 +10,21 @@ at bins 0, 3, 6, ... yield two signed counts per ordered pair (i, j):
                                     exactly-one rule per designated bin.
 
 Sums of these over all complete windows drive edge detection.
+
+All pair and triple sums come from one exact integer kernel.  The
+exactly-one occupancy rows B0, B1, B2 (bins 0, 1, 2 of each window, shape
+(n, W)) are packed into uint64 words, and C(X, Y)[a, b] is the popcount of
+X[a] & Y[b] summed over the words, so that
+
+  pair   = C(B0, B1) - C(B1, B0)
+  triple = C(B0&B1, B2) - 2*C(B0&B2, B1) + C(B1&B2, B0).
+
+C is evaluated in blocks of x-rows whose (rows, n, words) uint64
+intermediate stays within _BLOCK_BYTES (16 MiB), or one row at a time when a
+single row exceeds it.  Together with its uint8 popcounts a block holds at
+most 1.125 * max(_BLOCK_BYTES, 8 * n * ceil(W / 64)) bytes, on top of the
+packed inputs of 8 * n * ceil(W / 64) bytes each.  The counts are exact
+integers for any W.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ __all__ = [
 ]
 
 _SNAP = 1e-9  # relative tolerance for float quotients that should be integers
+_BLOCK_BYTES = 1 << 24  # cap on the uint64 intermediate of one _cooccur block
 
 
 def bin_count(horizon: float, epsilon: float) -> int:
@@ -76,15 +92,21 @@ class BinGrid:
         return self.counts.shape[1]
 
 
-def bin_events(log: EventLog, epsilon: float) -> BinGrid:
-    nb = bin_count(log.horizon, epsilon)
-    idx = np.floor(log.times / epsilon).astype(np.int64)
+def _bin_index(times: np.ndarray, epsilon: float, nb: int) -> np.ndarray:
+    """Bin of each time on a grid of nb half-open bins of width epsilon."""
+    idx = np.floor(times / epsilon).astype(np.int64)
     # float division can misplace boundary events by one; fix against the
     # exact half-open predicate, then clamp the horizon endpoint into the
     # last bin.
-    idx -= log.times < idx * epsilon
-    idx += log.times >= (idx + 1) * epsilon
+    idx -= times < idx * epsilon
+    idx += times >= (idx + 1) * epsilon
     np.clip(idx, 0, nb - 1, out=idx)
+    return idx
+
+
+def bin_events(log: EventLog, epsilon: float) -> BinGrid:
+    nb = bin_count(log.horizon, epsilon)
+    idx = _bin_index(log.times, epsilon, nb)
     counts = np.zeros((log.n, nb), dtype=np.int64)
     np.add.at(counts, (log.nodes, idx), 1)
     counts.flags.writeable = False
@@ -144,17 +166,62 @@ class PairStatistics:
             raise ValueError("sums exceed the window count")
 
 
-def _window_occupancy(grid: BinGrid, stride_bins: int):
-    k_default = window_count(grid.horizon, grid.epsilon)
-    usable = 3 * k_default
+def _window_anchors(grid: BinGrid, stride_bins: int) -> np.ndarray:
+    """First bin of every window."""
+    usable = 3 * window_count(grid.horizon, grid.epsilon)
     if stride_bins == 3:
-        anchors = np.arange(0, usable, 3) if usable else np.arange(0)
-    else:
-        if stride_bins < 1:
-            raise ValueError("stride_bins must be at least 1")
-        anchors = np.arange(0, max(usable - 2, 0), stride_bins)
+        return np.arange(0, usable, 3)
+    if stride_bins < 1:
+        raise ValueError("stride_bins must be at least 1")
+    return np.arange(0, max(usable - 2, 0), stride_bins)
+
+
+def _window_occupancy(grid: BinGrid, stride_bins: int):
+    anchors = _window_anchors(grid, stride_bins)
     one = grid.counts == 1
     return one[:, anchors], one[:, anchors + 1], one[:, anchors + 2], len(anchors)
+
+
+def _packed_occupancy(counts: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Exactly-one occupancy of window bins 0, 1, 2 for each row of counts,
+    packed into zero-padded uint64 words of shape (rows, ceil(W / 64))."""
+    rows, w = counts.shape[0], len(anchors)
+    one = counts == 1
+    packed = []
+    for offset in range(3):
+        bits = np.zeros((rows, 64 * -(-w // 64)), dtype=bool)
+        bits[:, :w] = one[:, anchors + offset]
+        packed.append(np.packbits(bits, axis=1).view(np.uint64))
+    return tuple(packed)
+
+
+def _cooccur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """C[a, b] = number of set bits in x[a] & y[b], for packed rows x and y."""
+    out = np.empty((x.shape[0], y.shape[0]), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // max(y.nbytes, 1))
+    for lo in range(0, x.shape[0], step):
+        block = x[lo : lo + step, None, :] & y[None, :, :]
+        out[lo : lo + step] = np.bitwise_count(block).sum(axis=2, dtype=np.int64)
+    return out
+
+
+def _node_pair_sums(
+    b0: np.ndarray, b1: np.ndarray, b2: np.ndarray, r0: np.ndarray, r1: np.ndarray, r2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pair, triple) sums of one node, given by its packed rows r0, r1, r2 of
+    shape (1, words), against every row of the packed occupancy b0, b1, b2.
+
+    Both have shape (2, n): row 0 takes the node as i and each row as j,
+    row 1 each row as i and the node as j.
+    """
+    pair = _cooccur(r0, b1)[0] - _cooccur(r1, b0)[0]
+    triple_out = (
+        _cooccur(r0 & r1, b2)[0] - 2 * _cooccur(r0 & r2, b1)[0] + _cooccur(r1 & r2, b0)[0]
+    )
+    triple_in = (
+        _cooccur(r2, b0 & b1)[0] - 2 * _cooccur(r1, b0 & b2)[0] + _cooccur(r0, b1 & b2)[0]
+    )
+    return np.stack((pair, -pair)), np.stack((triple_out, triple_in))
 
 
 def _pair_sums(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray, i: int, j: int) -> tuple[int, int]:
@@ -180,24 +247,19 @@ def accumulate(grid: BinGrid, i: int, j: int, stride_bins: int = 3) -> PairStati
 
 
 def accumulate_all(grid: BinGrid, stride_bins: int = 3) -> dict[tuple[int, int], PairStatistics]:
-    """Window sums for every ordered pair in one pass over the grid."""
-    b0, b1, b2, k = _window_occupancy(grid, stride_bins)
-    n = grid.n
-    out: dict[tuple[int, int], PairStatistics] = {}
-    first_second = [[int(np.sum(b0[a] & b1[b])) for b in range(n)] for a in range(n)]
-    lead_pair = [b0[a] & b1[a] for a in range(n)]  # same node in bins 1 and 2
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d1 = first_second[i][j] - first_second[j][i]
-            d2 = (
-                int(np.sum(lead_pair[i] & b2[j]))
-                - 2 * int(np.sum(b0[i] & b1[j] & b2[i]))
-                + int(np.sum(b0[j] & b1[i] & b2[i]))
-            )
-            out[(i, j)] = PairStatistics(i, j, d1, d2, k, grid.epsilon, grid.horizon)
-    return out
+    """Window sums for every ordered pair from one pass of the packed kernel."""
+    anchors = _window_anchors(grid, stride_bins)
+    b0, b1, b2 = _packed_occupancy(grid.counts, anchors)
+    first_second = _cooccur(b0, b1)
+    pair = (first_second - first_second.T).tolist()
+    triple = (_cooccur(b0 & b1, b2) - 2 * _cooccur(b0 & b2, b1) + _cooccur(b1 & b2, b0)).tolist()
+    k = len(anchors)
+    return {
+        (i, j): PairStatistics(i, j, pair[i][j], triple[i][j], k, grid.epsilon, grid.horizon)
+        for i in range(grid.n)
+        for j in range(grid.n)
+        if i != j
+    }
 
 
 def jitter(log: EventLog, magnitude: float, seed: int) -> EventLog:

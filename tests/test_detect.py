@@ -20,7 +20,7 @@ from hawkesgraph import (
     theorem_schedule,
     theorem_threshold,
 )
-from oracles import build_model
+from oracles import build_model, reference_calibration
 
 
 def _stats(i, j, d1, d2, windows=100, eps=0.1, horizon=30.0):
@@ -112,6 +112,21 @@ def test_calibrate_threshold_validation():
     empty = EventLog(n=1, horizon=5.0, times=np.array([]), nodes=np.array([]))
     with pytest.raises(ValueError):
         calibrate_threshold(empty, 0.1)
+    assert len(log) > 0
+    with pytest.raises(ValueError, match="two nodes"):
+        calibrate_threshold(log, 0.1)
+
+
+@pytest.mark.parametrize("use_triples", [True, False])
+def test_calibrate_threshold_equals_reference(use_triples):
+    model = build_model(3, {(1, 0): 0.6, (0, 0): 0.5, (1, 1): 0.5, (2, 2): 0.5}, decay=2.0)
+    log = simulate(model, 60.0, seed=2)
+    # 200 windows: several packed words per node; 11 surrogates cycle
+    # through the three nodes unevenly
+    for quantile in (0.5, 0.9):
+        got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=quantile, seed=3,
+                                  use_triples=use_triples)
+        assert got == reference_calibration(log, 0.1, 11, quantile, 3, use_triples)
 
 
 def test_detect_subset_equals_restricted_full_run():
@@ -157,4 +172,11 @@ def test_graph_file_roundtrip(tmp_path):
     assert back_config == config
     path.write_text("0 3\n")
     with pytest.raises(ValueError, match="not a graph file"):
+        load_graph(str(path))
+
+
+def test_graph_file_names_missing_header_field(tmp_path):
+    path = tmp_path / "truncated.txt"
+    path.write_text("# hawkesgraph-graph nodes=5 epsilon=0.05\n0 3\n")
+    with pytest.raises(ValueError, match=r"truncated\.txt.*'horizon'"):
         load_graph(str(path))

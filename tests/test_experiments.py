@@ -250,6 +250,13 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_sweep_rejects_invalid_worker_count(tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("HAWKESGRAPH_WORKERS", raw)
+    with pytest.raises(ValueError, match=f"HAWKESGRAPH_WORKERS.*'{raw}'"):
+        sweep(SWEEP_CONFIG, tmp_path / "out")
+
+
 def test_sweep_records_per_row_errors(tmp_path):
     config = {
         "seed": 1,

@@ -244,3 +244,10 @@ def test_event_file_rejects_garbage(tmp_path):
     path.write_text("# hawkesgraph-events n=1 horizon=5.0 seed=none model=none\n2.0 0\n1.0 0\n")
     with pytest.raises(ValueError, match="not sorted"):
         load_events(str(path))
+
+
+def test_event_file_names_missing_header_field(tmp_path):
+    path = tmp_path / "truncated.log"
+    path.write_text("# hawkesgraph-events n=1 horizon=5.0\n1.0 0\n")
+    with pytest.raises(ValueError, match=r"truncated\.log.*'seed'"):
+        load_events(str(path))

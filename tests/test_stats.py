@@ -146,6 +146,35 @@ def test_accumulate_all_matches_accumulate():
             assert s == accumulate(grid, i, j)
 
 
+@pytest.mark.parametrize("stride_bins", [3, 1])
+def test_accumulate_all_matches_oracle_on_multiword_rows(stride_bins):
+    # 12 nodes and more than 64 windows, not a multiple of 64: each node's
+    # occupancy spans several packed words and the last one is padded
+    rng = np.random.default_rng(31)
+    log = _uniform_log(rng, n=12, horizon=30.0, events=1200)
+    table = accumulate_all(bin_events(log, 0.1), stride_bins=stride_bins)
+    assert len(table) == 12 * 11
+    windows = next(iter(table.values())).windows
+    assert windows > 64 and windows % 64 != 0
+    for (i, j), s in table.items():
+        want = naive_pair_stats(log, i, j, 0.1, stride_bins)
+        assert (s.pair_sum, s.triple_sum, s.windows) == want
+
+
+def test_accumulate_all_is_independent_of_row_blocking(monkeypatch):
+    import hawkesgraph.stats as stats_module
+
+    rng = np.random.default_rng(37)
+    log = _uniform_log(rng, n=7, horizon=25.0, events=500)
+    grid = bin_events(log, 0.1)
+    whole = accumulate_all(grid)
+    # one packed row set of 7 nodes x 2 words is 112 bytes: blocks of one
+    # row, then of three rows with a shorter last block
+    for budget in (1, 3 * 112):
+        monkeypatch.setattr(stats_module, "_BLOCK_BYTES", budget)
+        assert accumulate_all(grid) == whole
+
+
 def test_pair_sum_antisymmetry():
     rng = np.random.default_rng(13)
     log = _uniform_log(rng, n=3, horizon=20.0, events=300)
