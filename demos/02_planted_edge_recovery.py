@@ -15,7 +15,7 @@ from hawkesgraph import (
     calibrate_threshold,
     child_seed,
     detect,
-    pair_score,
+    pair_scores,
     planted_model,
     simulate,
     true_graph,
@@ -37,11 +37,11 @@ config = DetectorConfig(
     epsilon=eps, horizon=horizon, threshold=threshold,
     source="calibrated", use_triples=False,
 )
-stats = accumulate_all(bin_events(log, eps))
-for (i, j), s in sorted(stats.items()):
-    print(f"pair ({i}, {j}): score {pair_score(s, config.use_triples):.4f} "
-          f"vs threshold {threshold:.4f}")
-graph = detect(stats, config, n=model.n)
+table = accumulate_all(bin_events(log, eps))
+scores = pair_scores(table, config.use_triples)
+for i, j in table:
+    print(f"pair ({i}, {j}): score {scores[i, j]:.4f} vs threshold {threshold:.4f}")
+graph = detect(table, config)
 print("recovered:", graph.sorted_edges)
 
 # Same log, triples back on: the calibrated threshold inflates with the
@@ -53,6 +53,6 @@ config_t = DetectorConfig(
     epsilon=eps, horizon=horizon, threshold=threshold_t,
     source="calibrated", use_triples=True,
 )
-graph_t = detect(stats, config_t, n=model.n)
+graph_t = detect(table, config_t)
 print(f"with triples: threshold {threshold_t:.4f}, "
       f"recovered {graph_t.sorted_edges}")

@@ -38,7 +38,7 @@ same = accumulate_all(bin_events(log, eps)) == accumulate_all(bin_events(shaken,
 print(f"jitter below half the edge gap ({edge_gap:.2e}): statistics identical = {same}")
 
 # Restriction invariance: drop node 1 and compare against the full result.
-full = detect(accumulate_all(bin_events(log, eps)), config, n=3)
+full = detect(accumulate_all(bin_events(log, eps)), config)
 sub = detect_subset(log, [0, 2], config)
 print(f"full graph {full.sorted_edges}, observed {{0, 2}} -> {sub.sorted_edges}, "
       f"matches restriction = {sub.edges == full.restrict([0, 2]).edges}")
@@ -59,7 +59,8 @@ print(f"trial: recovered {trial.recovered_edges}, precision {trial.precision:.2f
       f"recall {trial.recall:.2f}, peak intensity {trial.peak_intensity:.2f}")
 print(rate_bound_check([trial]))
 
-# A two-cell sweep; rerunning in the same directory reuses finished shards.
+# A two-cell sweep; rerunning in the same directory reuses finished shards
+# whose key (cell, sweep settings, package version) still matches.
 grid = {
     "seed": 2024,
     "seeds_per_cell": 3,

@@ -1,13 +1,16 @@
 """Simulation and dependency-graph recovery for non-stationary multivariate
 Hawkes processes."""
 
+# Set before the submodule imports: sweep shard keys include it.
+__version__ = "0.1.0"
+
 from .detect import (
     DetectorConfig,
     calibrate_threshold,
     detect,
     detect_subset,
     load_graph,
-    pair_score,
+    pair_scores,
     save_graph,
     suggest_epsilon,
     theorem_schedule,
@@ -64,16 +67,10 @@ from .simulation import (
 from .stats import (
     BinGrid,
     PairStatistics,
-    accumulate,
+    PairTable,
     accumulate_all,
     bin_count,
     bin_events,
     jitter,
-    load_stats,
-    pair_delta,
-    save_stats,
-    triple_delta,
     window_count,
 )
-
-__version__ = "0.1.0"

@@ -66,7 +66,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         observed = sorted({int(tok) for tok in args.observed.split(",")})
         graph = detect_subset(log, observed, config)
     else:
-        graph = detect(accumulate_all(bin_events(log, config.epsilon)), config, n=log.n)
+        graph = detect(accumulate_all(bin_events(log, config.epsilon)), config)
     for i, j in graph.sorted_edges:
         print(f"{i} {j}")
     print(f"{len(graph.sorted_edges)} edges among {graph.n} nodes")

@@ -24,7 +24,7 @@ import numpy as np
 from .model import DependencyGraph
 from .simulation import EventLog
 from .stats import (
-    PairStatistics,
+    PairTable,
     _bin_index,
     _node_pair_sums,
     _packed_occupancy,
@@ -35,7 +35,7 @@ from .stats import (
 
 __all__ = [
     "DetectorConfig",
-    "pair_score",
+    "pair_scores",
     "detect",
     "detect_subset",
     "theorem_threshold",
@@ -74,46 +74,36 @@ class DetectorConfig:
             raise ValueError(f"source must be one of {_SOURCES}")
 
 
-def pair_score(stats: PairStatistics, use_triples: bool = True) -> float:
-    """Normalized evidence that the source node of this ordering excites the other."""
-    t_eps = stats.horizon * stats.epsilon
-    score = abs(stats.pair_sum) / t_eps
+def _scores(
+    pair: np.ndarray, triple: np.ndarray, epsilon: float, horizon: float, use_triples: bool
+) -> np.ndarray:
+    """Elementwise |pair| / (T * eps) + |triple| / (T * eps^2)."""
+    t_eps = horizon * epsilon
+    score = np.abs(pair) / t_eps
     if use_triples:
-        score += abs(stats.triple_sum) / (t_eps * stats.epsilon)
+        score = score + np.abs(triple) / (t_eps * epsilon)
     return score
 
 
-def _check_config(stats: dict[tuple[int, int], PairStatistics], config: DetectorConfig) -> None:
-    for s in stats.values():
-        if s.epsilon != config.epsilon or s.horizon != config.horizon:
-            raise ValueError(
-                f"statistics for pair ({s.i}, {s.j}) were computed at "
-                f"(eps={s.epsilon}, T={s.horizon}) but the detector expects "
-                f"(eps={config.epsilon}, T={config.horizon})"
-            )
+def pair_scores(table: PairTable, use_triples: bool = True) -> np.ndarray:
+    """(n, n) normalized evidence that node i excites node j, for every (i, j)."""
+    return _scores(table.pair, table.triple, table.epsilon, table.horizon, use_triples)
 
 
-def detect(
-    stats: dict[tuple[int, int], PairStatistics],
-    config: DetectorConfig,
-    n: int | None = None,
-) -> DependencyGraph:
+def detect(table: PairTable, config: DetectorConfig) -> DependencyGraph:
     """Threshold the pair scores into an undirected dependency graph.
 
     Both orderings of a pair are examined; either one crossing the threshold
-    adds the edge.  ``n`` fixes the node count when the statistics cover only
-    a subset of nodes.
+    adds the edge.
     """
-    _check_config(stats, config)
-    if n is None:
-        n = 1 + max(max(i, j) for i, j in stats) if stats else 0
-    edges = set()
-    for (i, j), s in stats.items():
-        if i < j and pair_score(s, config.use_triples) >= config.threshold:
-            edges.add((i, j))
-        elif i > j and pair_score(s, config.use_triples) >= config.threshold:
-            edges.add((j, i))
-    return DependencyGraph(n, frozenset(edges))
+    if (table.epsilon, table.horizon) != (config.epsilon, config.horizon):
+        raise ValueError(
+            f"statistics were computed at (eps={table.epsilon}, T={table.horizon}) "
+            f"but the detector expects (eps={config.epsilon}, T={config.horizon})"
+        )
+    hit = pair_scores(table, config.use_triples) >= config.threshold
+    rows, cols = np.nonzero(np.triu(hit | hit.T, k=1))
+    return DependencyGraph(table.n, frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 def detect_subset(
@@ -140,13 +130,9 @@ def detect_subset(
         nodes=log.nodes[keep],
         fingerprint=log.fingerprint,
     )
-    grid = bin_events(sub, config.epsilon)
-    stats = {
-        (i, j): s
-        for (i, j), s in accumulate_all(grid).items()
-        if i in observed and j in observed
-    }
-    return detect(stats, config, n=log.n)
+    # Unobserved nodes have no events left, so every sum involving them is 0
+    # and, with a positive threshold, can never make an edge.
+    return detect(accumulate_all(bin_events(sub, config.epsilon)), config)
 
 
 def theorem_threshold(weight_floor: float, self_gap: float, baseline_floor: float) -> float:
@@ -207,9 +193,8 @@ def calibrate_threshold(
     if log.n < 2:
         raise ValueError("calibration needs at least two nodes to pair")
     grid = bin_events(log, epsilon)
-    anchors = _window_anchors(grid, 3)
+    anchors = _window_anchors(grid)
     b0, b1, b2 = _packed_occupancy(grid.counts, anchors)
-    t_eps = log.horizon * epsilon
     rng = np.random.default_rng(seed)
     null_scores: list[np.ndarray] = []
     for k in range(n_surrogates):
@@ -219,9 +204,7 @@ def calibrate_threshold(
         row = np.bincount(_bin_index(shifted, epsilon, grid.bins), minlength=grid.bins)
         pair, triple = _node_pair_sums(b0, b1, b2, *_packed_occupancy(row[None, :], anchors))
         others = np.arange(log.n) != node
-        score = np.abs(pair[:, others]) / t_eps
-        if use_triples:
-            score = score + np.abs(triple[:, others]) / (t_eps * epsilon)
+        score = _scores(pair[:, others], triple[:, others], epsilon, log.horizon, use_triples)
         null_scores.append(score.ravel())
     return float(np.quantile(np.concatenate(null_scores), quantile))
 

@@ -9,6 +9,8 @@ workers execute them.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import os
 import time
@@ -20,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import yaml
 
+from . import __version__
 from .detect import DetectorConfig, calibrate_threshold, detect
 from .model import (
     BaselineSpec,
@@ -313,8 +316,7 @@ def run_trial(
         )
         config = replace(config, threshold=threshold, source="calibrated")
     grid = bin_events(log, config.epsilon)
-    stats = accumulate_all(grid)
-    recovered = detect(stats, config, n=model.n)
+    recovered = detect(accumulate_all(grid), config)
     truth = true_graph(model)
     fp = tuple(sorted(recovered.edges - truth.edges))
     fn = tuple(sorted(truth.edges - recovered.edges))
@@ -438,6 +440,20 @@ def _check_sweep_config(config: Mapping) -> tuple[list[Mapping], int, int, int]:
     return list(grid), seeds, int(config.get("seed", 0)), int(config.get("surrogates", 50))
 
 
+def _shard_key(cell: Mapping, config: Mapping, seeds: int, root_seed: int, surrogates: int) -> str:
+    """sha256 of everything a cell's rows depend on besides the code itself."""
+    inputs = {
+        "cell": cell,
+        "seed": root_seed,
+        "seeds_per_cell": seeds,
+        "surrogates": surrogates,
+        "calibrate": bool(config.get("calibrate", False)),
+        "version": __version__,
+    }
+    text = json.dumps(inputs, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _trial_seed(root: int, cell_index: int, trial_index: int) -> int:
     return int(child_seed(root, cell_index * 1_000_000 + trial_index).generate_state(1)[0])
 
@@ -510,9 +526,12 @@ def sweep(config: Mapping | str | Path, out_dir: str | Path) -> Path:
     ``config`` is a mapping or a path to a YAML file with keys: grid (list of
     cells with n, d, horizon, epsilon, and threshold or calibrate), and
     optional seed, seeds_per_cell, surrogates, calibrate.  Each completed
-    cell leaves a shard file; rerunning an interrupted sweep skips finished
-    shards.  Rows are keyed by (cell, seed) and the merged table is
-    byte-identical for any worker count (HAWKESGRAPH_WORKERS).
+    cell leaves a shard file cell_XXX.csv and, next to it, cell_XXX.key with
+    a hash of the cell, those optional settings and the package version.  A
+    rerun reuses a shard only when its key matches, so an interrupted sweep
+    skips finished cells and an edited one is recomputed.  Rows are keyed by
+    (cell, seed) and the merged table is byte-identical for any worker count
+    (HAWKESGRAPH_WORKERS).
     """
     if isinstance(config, (str, Path)):
         with open(config, encoding="utf-8") as fh:
@@ -524,8 +543,11 @@ def sweep(config: Mapping | str | Path, out_dir: str | Path) -> Path:
 
     for k, cell in enumerate(grid):
         shard = out / f"cell_{k:03d}.csv"
-        if shard.exists():
+        key_file = shard.with_suffix(".key")
+        key = _shard_key(cell, config, seeds, root_seed, surrogates)
+        if shard.exists() and key_file.exists() and key_file.read_text(encoding="utf-8") == key:
             continue
+        key_file.unlink(missing_ok=True)
         args = [(cell, config, root_seed, k, t, surrogates) for t in range(seeds)]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -538,6 +560,7 @@ def sweep(config: Mapping | str | Path, out_dir: str | Path) -> Path:
             writer.writeheader()
             writer.writerows(rows)
         tmp.rename(shard)
+        key_file.write_text(key, encoding="utf-8")
 
     results = out / "results.csv"
     with open(results, "w", newline="", encoding="utf-8") as fh:

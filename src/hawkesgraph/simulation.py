@@ -15,6 +15,7 @@ explicitly and drop them once the kernel value falls below 1e-12.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _PRUNE_LOG = 27.631021115928547  # -log(1e-12)
+_EVENT_ROW = np.dtype([("time", np.float64), ("node", np.int64)])  # one event-file line
 
 
 class Event(NamedTuple):
@@ -483,26 +485,25 @@ def load_events(path: str) -> EventLog:
         missing = [f for f in ("n", "horizon", "seed", "model") if f not in fields]
         if missing:
             raise ValueError(f"{path}: event-log header lacks the field {missing[0]!r}")
-        times: list[float] = []
-        nodes: list[int] = []
-        prev = (-math.inf, -1)
-        for line in fh:
-            if not line.strip():
-                continue
-            t_str, u_str = line.split()
-            t, u = float(t_str), int(u_str)
-            if (t, u) < prev:
-                raise ValueError(f"{path} is not sorted by (time, node)")
-            prev = (t, u)
-            times.append(t)
-            nodes.append(u)
+        body = fh.read()
+    if body.strip():
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_EVENT_ROW, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    else:
+        rows = np.empty(0, dtype=_EVENT_ROW)
+    times, nodes = rows["time"], rows["node"]
+    step = np.diff(times)
+    if np.any((step < 0) | ((step == 0) & (np.diff(nodes) < 0))):
+        raise ValueError(f"{path} is not sorted by (time, node)")
     seed = None if fields["seed"] == "none" else int(fields["seed"])
     fp = None if fields["model"] == "none" else fields["model"]
     return EventLog(
         n=int(fields["n"]),
         horizon=float(fields["horizon"]),
-        times=np.array(times),
-        nodes=np.array(nodes, dtype=np.int64),
+        times=times,
+        nodes=nodes,
         seed=seed,
         fingerprint=fp,
     )

@@ -9,7 +9,8 @@ at bins 0, 3, 6, ... yield two signed counts per ordered pair (i, j):
   triple term  X_iij - 2*X_iji + X_jii over bins (b, b+1, b+2), same
                                     exactly-one rule per designated bin.
 
-Sums of these over all complete windows drive edge detection.
+Sums of these over all complete windows, held as two (n, n) arrays in a
+PairTable, drive edge detection.
 
 All pair and triple sums come from one exact integer kernel.  The
 exactly-one occupancy rows B0, B1, B2 (bins 0, 1, 2 of each window, shape
@@ -30,7 +31,9 @@ integers for any W.
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,16 +42,12 @@ from .simulation import EventLog
 __all__ = [
     "BinGrid",
     "PairStatistics",
+    "PairTable",
     "bin_count",
     "window_count",
     "bin_events",
-    "pair_delta",
-    "triple_delta",
-    "accumulate",
     "accumulate_all",
     "jitter",
-    "save_stats",
-    "load_stats",
 ]
 
 _SNAP = 1e-9  # relative tolerance for float quotients that should be integers
@@ -113,73 +112,85 @@ def bin_events(log: EventLog, epsilon: float) -> BinGrid:
     return BinGrid(epsilon=epsilon, horizon=log.horizon, counts=counts)
 
 
-def _check_pair(grid: BinGrid, i: int, j: int) -> None:
-    if i == j:
-        raise ValueError("pair statistics need two distinct nodes")
-    if not (0 <= i < grid.n and 0 <= j < grid.n):
-        raise ValueError("node index out of range")
-
-
-def pair_delta(grid: BinGrid, i: int, j: int, window: int) -> int:
-    """Signed pair indicator for one window, in {-1, 0, 1}."""
-    _check_pair(grid, i, j)
-    b = 3 * window
-    if window < 0 or b + 1 >= grid.bins:
-        raise ValueError("window out of range")
-    c = grid.counts
-    x_ij = int(c[i, b] == 1 and c[j, b + 1] == 1)
-    x_ji = int(c[j, b] == 1 and c[i, b + 1] == 1)
-    return x_ij - x_ji
-
-
-def triple_delta(grid: BinGrid, i: int, j: int, window: int) -> int:
-    """Signed triple indicator for one window, in [-2, 2]."""
-    _check_pair(grid, i, j)
-    b = 3 * window
-    if window < 0 or b + 2 >= grid.bins:
-        raise ValueError("window out of range")
-    c = grid.counts
-    x_iij = int(c[i, b] == 1 and c[i, b + 1] == 1 and c[j, b + 2] == 1)
-    x_iji = int(c[i, b] == 1 and c[j, b + 1] == 1 and c[i, b + 2] == 1)
-    x_jii = int(c[j, b] == 1 and c[i, b + 1] == 1 and c[i, b + 2] == 1)
-    return x_iij - 2 * x_iji + x_jii
-
-
-@dataclass(frozen=True)
-class PairStatistics:
-    """Accumulated window sums for one ordered pair.
-
-    pair_sum lies in [-windows, windows] and flips sign when the pair is
-    swapped; triple_sum lies in [-2*windows, 2*windows] and does not.
-    """
+class PairStatistics(NamedTuple):
+    """Window sums of one ordered pair, as read from a PairTable."""
 
     i: int
     j: int
     pair_sum: int
     triple_sum: int
     windows: int
+
+
+class _PairItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], PairStatistics]]:
+        table = self._mapping
+        pair, triple = table.pair.tolist(), table.triple.tolist()
+        for i, j in table:
+            yield (i, j), PairStatistics(i, j, pair[i][j], triple[i][j], table.windows)
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable(Mapping):
+    """Window sums of every ordered pair (i, j) as two read-only (n, n) arrays.
+
+    pair[i, j] lies in [-windows, windows] and triple[i, j] in
+    [-2*windows, 2*windows]; tables from accumulate_all also have
+    pair = -pair.T and a zero diagonal.  As a mapping, ``table[(i, j)]`` is
+    the PairStatistics view of one ordered pair, i != j.
+    """
+
+    pair: np.ndarray
+    triple: np.ndarray
+    windows: int
     epsilon: float
     horizon: float
 
     def __post_init__(self) -> None:
-        if abs(self.pair_sum) > self.windows or abs(self.triple_sum) > 2 * self.windows:
+        pair = np.array(self.pair, dtype=np.int64)
+        triple = np.array(self.triple, dtype=np.int64)
+        if pair.ndim != 2 or pair.shape[0] != pair.shape[1] or triple.shape != pair.shape:
+            raise ValueError("pair and triple must be (n, n) arrays of the same shape")
+        if np.any(np.abs(pair) > self.windows) or np.any(np.abs(triple) > 2 * self.windows):
             raise ValueError("sums exceed the window count")
+        pair.flags.writeable = False
+        triple.flags.writeable = False
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "triple", triple)
+
+    @property
+    def n(self) -> int:
+        return self.pair.shape[0]
+
+    def __getitem__(self, key: tuple[int, int]) -> PairStatistics:
+        i, j = key
+        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
+            raise KeyError(key)
+        return PairStatistics(i, j, int(self.pair[i, j]), int(self.triple[i, j]), self.windows)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((i, j) for i in range(self.n) for j in range(self.n) if i != j)
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1)
+
+    def items(self) -> _PairItems:
+        return _PairItems(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairTable):
+            return NotImplemented
+        return (
+            (self.windows, self.epsilon, self.horizon)
+            == (other.windows, other.epsilon, other.horizon)
+            and np.array_equal(self.pair, other.pair)
+            and np.array_equal(self.triple, other.triple)
+        )
 
 
-def _window_anchors(grid: BinGrid, stride_bins: int) -> np.ndarray:
-    """First bin of every window."""
-    usable = 3 * window_count(grid.horizon, grid.epsilon)
-    if stride_bins == 3:
-        return np.arange(0, usable, 3)
-    if stride_bins < 1:
-        raise ValueError("stride_bins must be at least 1")
-    return np.arange(0, max(usable - 2, 0), stride_bins)
-
-
-def _window_occupancy(grid: BinGrid, stride_bins: int):
-    anchors = _window_anchors(grid, stride_bins)
-    one = grid.counts == 1
-    return one[:, anchors], one[:, anchors + 1], one[:, anchors + 2], len(anchors)
+def _window_anchors(grid: BinGrid) -> np.ndarray:
+    """First bin of every complete window."""
+    return np.arange(0, 3 * window_count(grid.horizon, grid.epsilon), 3)
 
 
 def _packed_occupancy(counts: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -224,42 +235,18 @@ def _node_pair_sums(
     return np.stack((pair, -pair)), np.stack((triple_out, triple_in))
 
 
-def _pair_sums(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray, i: int, j: int) -> tuple[int, int]:
-    d1 = int(np.sum(b0[i] & b1[j])) - int(np.sum(b0[j] & b1[i]))
-    d2 = (
-        int(np.sum(b0[i] & b1[i] & b2[j]))
-        - 2 * int(np.sum(b0[i] & b1[j] & b2[i]))
-        + int(np.sum(b0[j] & b1[i] & b2[i]))
-    )
-    return d1, d2
-
-
-def accumulate(grid: BinGrid, i: int, j: int, stride_bins: int = 3) -> PairStatistics:
-    """Sum the window indicators for one ordered pair.
-
-    stride_bins=3 gives the disjoint-window default; stride_bins=1 is the
-    overlapping variant, kept for comparisons.
-    """
-    _check_pair(grid, i, j)
-    b0, b1, b2, k = _window_occupancy(grid, stride_bins)
-    d1, d2 = _pair_sums(b0, b1, b2, i, j)
-    return PairStatistics(i, j, d1, d2, k, grid.epsilon, grid.horizon)
-
-
-def accumulate_all(grid: BinGrid, stride_bins: int = 3) -> dict[tuple[int, int], PairStatistics]:
+def accumulate_all(grid: BinGrid) -> PairTable:
     """Window sums for every ordered pair from one pass of the packed kernel."""
-    anchors = _window_anchors(grid, stride_bins)
+    anchors = _window_anchors(grid)
     b0, b1, b2 = _packed_occupancy(grid.counts, anchors)
     first_second = _cooccur(b0, b1)
-    pair = (first_second - first_second.T).tolist()
-    triple = (_cooccur(b0 & b1, b2) - 2 * _cooccur(b0 & b2, b1) + _cooccur(b1 & b2, b0)).tolist()
-    k = len(anchors)
-    return {
-        (i, j): PairStatistics(i, j, pair[i][j], triple[i][j], k, grid.epsilon, grid.horizon)
-        for i in range(grid.n)
-        for j in range(grid.n)
-        if i != j
-    }
+    return PairTable(
+        pair=first_second - first_second.T,
+        triple=_cooccur(b0 & b1, b2) - 2 * _cooccur(b0 & b2, b1) + _cooccur(b1 & b2, b0),
+        windows=len(anchors),
+        epsilon=grid.epsilon,
+        horizon=grid.horizon,
+    )
 
 
 def jitter(log: EventLog, magnitude: float, seed: int) -> EventLog:
@@ -278,28 +265,3 @@ def jitter(log: EventLog, magnitude: float, seed: int) -> EventLog:
         seed=None,
         fingerprint=log.fingerprint,
     )
-
-
-def save_stats(stats: dict[tuple[int, int], PairStatistics], path: str) -> None:
-    """Write one CSV record per ordered pair, sorted by (i, j)."""
-    with open(path, "w") as fh:
-        fh.write("i,j,pair_sum,triple_sum,windows,epsilon,horizon\n")
-        for key in sorted(stats):
-            s = stats[key]
-            fh.write(f"{s.i},{s.j},{s.pair_sum},{s.triple_sum},{s.windows},{s.epsilon!r},{s.horizon!r}\n")
-
-
-def load_stats(path: str) -> dict[tuple[int, int], PairStatistics]:
-    out: dict[tuple[int, int], PairStatistics] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "i,j,pair_sum,triple_sum,windows,epsilon,horizon":
-            raise ValueError(f"{path} is not a pair-statistics file")
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, d1, d2, k, eps, horizon = line.split(",")
-            out[(int(i), int(j))] = PairStatistics(
-                int(i), int(j), int(d1), int(d2), int(k), float(eps), float(horizon)
-            )
-    return out

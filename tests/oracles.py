@@ -12,7 +12,7 @@ import numpy as np
 from hawkesgraph import BaselineSpec, EventLog, HawkesModel, KernelSpec, ModelConstants
 
 
-def naive_pair_stats(log: EventLog, i: int, j: int, epsilon: float, stride_bins: int = 3):
+def naive_pair_stats(log: EventLog, i: int, j: int, epsilon: float):
     """Recount the window statistics for one ordered pair from timestamps.
 
     Bins are located by bisection against explicit bin edges rather than by
@@ -34,20 +34,14 @@ def naive_pair_stats(log: EventLog, i: int, j: int, epsilon: float, stride_bins:
     if windows + 1 - qw < 1e-9 * max(qw, 1.0):
         windows += 1
     windows = min(windows, nb // 3)
-    usable = 3 * windows
-    if stride_bins == 3:
-        anchors = range(0, usable, 3)
-    else:
-        anchors = range(0, max(usable - 2, 0), stride_bins)
 
-    d1 = d2 = k = 0
-    for a in anchors:
-        k += 1
+    d1 = d2 = 0
+    for a in range(0, 3 * windows, 3):
         i0, i1, i2 = (counts[i, a + b] == 1 for b in range(3))
         j0, j1, j2 = (counts[j, a + b] == 1 for b in range(3))
         d1 += int(i0 and j1) - int(j0 and i1)
         d2 += int(i0 and i1 and j2) - 2 * int(i0 and j1 and i2) + int(j0 and i1 and i2)
-    return d1, d2, k
+    return d1, d2, windows
 
 
 def reference_calibration(

@@ -19,7 +19,6 @@ from scipy import stats as scipy_stats
 from hawkesgraph import (
     DetectorConfig,
     EventLog,
-    accumulate,
     accumulate_all,
     bin_events,
     detect,
@@ -148,12 +147,12 @@ def test_criterion_07_statistics_oracle_equivalence():
             times=np.sort(rng.uniform(0.0, horizon, size=m)),
             nodes=rng.integers(0, n, size=m),
         )
-        grid = bin_events(log, eps)
+        table = accumulate_all(bin_events(log, eps))
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                got = accumulate(grid, i, j)
+                got = table[(i, j)]
                 want = naive_pair_stats(log, i, j, eps)
                 if (got.pair_sum, got.triple_sum, got.windows) != want:
                     mismatches += 1
@@ -244,7 +243,7 @@ def test_criterion_11_restriction_invariance():
             rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist()
         )
         sub = detect_subset(log, observed, config)
-        full = detect(accumulate_all(bin_events(log, config.epsilon)), config, n=n)
+        full = detect(accumulate_all(bin_events(log, config.epsilon)), config)
         restricted = full.restrict(observed)
         assert sub.n == restricted.n
         assert sub.edges == restricted.edges
@@ -269,7 +268,7 @@ def test_criterion_12_jitter_invariance():
     after = accumulate_all(bin_events(jittered, eps))
     assert before == after
     config = DetectorConfig(epsilon=eps, horizon=200.0, threshold=0.05)
-    assert detect(before, config, n=3).edges == detect(after, config, n=3).edges
+    assert detect(before, config).edges == detect(after, config).edges
 
 
 def test_criterion_13_intensity_rate_bound():

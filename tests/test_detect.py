@@ -6,14 +6,14 @@ import pytest
 from hawkesgraph import (
     DetectorConfig,
     EventLog,
-    PairStatistics,
+    PairTable,
     accumulate_all,
     bin_events,
     calibrate_threshold,
     detect,
     detect_subset,
     load_graph,
-    pair_score,
+    pair_scores,
     save_graph,
     simulate,
     suggest_epsilon,
@@ -23,8 +23,9 @@ from hawkesgraph import (
 from oracles import build_model, reference_calibration
 
 
-def _stats(i, j, d1, d2, windows=100, eps=0.1, horizon=30.0):
-    return PairStatistics(i, j, d1, d2, windows, eps, horizon)
+def _table(pair, triple, windows=100, eps=0.1, horizon=30.0):
+    return PairTable(pair=np.array(pair), triple=np.array(triple), windows=windows,
+                     epsilon=eps, horizon=horizon)
 
 
 def test_config_validation():
@@ -40,37 +41,43 @@ def test_config_validation():
 
 
 def test_pair_score_arithmetic():
-    s = _stats(0, 1, d1=-6, d2=9)
-    assert pair_score(s, use_triples=False) == pytest.approx(6 / 3.0)
-    assert pair_score(s) == pytest.approx(6 / 3.0 + 9 / 0.3)
+    table = _table([[0, -6], [6, 0]], [[0, 9], [9, 0]])
+    assert pair_scores(table, use_triples=False)[0, 1] == pytest.approx(6 / 3.0)
+    assert pair_scores(table)[0, 1] == pytest.approx(6 / 3.0 + 9 / 0.3)
+    assert pair_scores(table).shape == (2, 2)
 
 
 def test_detect_or_rule_and_inclusive_threshold():
     config = DetectorConfig(epsilon=0.1, horizon=30.0, threshold=2.0)
-    stats = {
-        (0, 1): _stats(0, 1, d1=6, d2=0),   # score exactly 2.0 -> edge
-        (1, 0): _stats(1, 0, d1=-6, d2=0),
-        (0, 2): _stats(0, 2, d1=0, d2=0),
-        (2, 0): _stats(2, 0, d1=0, d2=5),   # triple term alone crosses
-        (1, 2): _stats(1, 2, d1=3, d2=0),   # score 1.0 -> no edge
-        (2, 1): _stats(2, 1, d1=-3, d2=0),
-    }
-    graph = detect(stats, config)
+    table = _table(
+        pair=[[0, 6, 0],     # (0, 1): score exactly 2.0 -> edge
+              [-6, 0, 3],    # (1, 2): score 1.0 -> no edge
+              [0, -3, 0]],
+        triple=[[0, 0, 0],
+                [0, 0, 0],
+                [5, 0, 0]],  # (2, 0): triple term alone crosses
+    )
+    graph = detect(table, config)
     assert graph.n == 3
     assert graph.edges == frozenset({(0, 1), (0, 2)})
-    only_pairs = detect(stats, DetectorConfig(epsilon=0.1, horizon=30.0,
+    only_pairs = detect(table, DetectorConfig(epsilon=0.1, horizon=30.0,
                                               threshold=2.0, use_triples=False))
     assert only_pairs.edges == frozenset({(0, 1)})
 
 
-def test_detect_n_override_and_mismatch():
+def test_detect_node_count_and_config_mismatch():
     config = DetectorConfig(epsilon=0.1, horizon=30.0, threshold=1.0)
-    stats = {(0, 1): _stats(0, 1, d1=6, d2=0)}
-    assert detect(stats, config).n == 2
-    assert detect(stats, config, n=7).n == 7
-    stale = {(0, 1): _stats(0, 1, d1=6, d2=0, eps=0.2, horizon=30.0)}
+    pair = np.zeros((7, 7), dtype=int)
+    pair[0, 1], pair[1, 0] = 6, -6
+    # nodes 2..6 carry no evidence but still count
+    graph = detect(_table(pair, np.zeros((7, 7))), config)
+    assert graph.n == 7
+    assert graph.edges == frozenset({(0, 1)})
+    stale = _table(pair, np.zeros((7, 7)), eps=0.2)
     with pytest.raises(ValueError, match="detector expects"):
         detect(stale, config)
+    with pytest.raises(ValueError, match="detector expects"):
+        detect(_table(pair, np.zeros((7, 7)), horizon=31.0), config)
 
 
 def test_theorem_threshold_arithmetic():
@@ -138,7 +145,7 @@ def test_detect_subset_equals_restricted_full_run():
     )
     log = simulate(model, 400.0, seed=3)
     config = DetectorConfig(epsilon=0.1, horizon=400.0, threshold=0.05, use_triples=False)
-    full = detect(accumulate_all(bin_events(log, config.epsilon)), config, n=3)
+    full = detect(accumulate_all(bin_events(log, config.epsilon)), config)
     for observed in ({0, 1}, {1, 2}, {0, 2}, {0, 1, 2}):
         sub = detect_subset(log, observed, config)
         assert sub.n == 3

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -238,6 +239,26 @@ def test_sweep_resume_skips_finished_shards(tmp_path):
     # Restoring the shard restores the exact original bytes.
     shard.write_text(sentinel.replace("sentinel", "ok"), encoding="utf-8")
     assert sweep(SWEEP_CONFIG, out).read_bytes() == first
+
+
+def test_sweep_recomputes_edited_cells(tmp_path):
+    out = tmp_path / "out"
+    before = _rows(sweep(SWEEP_CONFIG, out))
+    # Mark cell 1's shard: it must be reused untouched while cell 0 changes.
+    shard = out / "cell_001.csv"
+    shard.write_text(shard.read_text(encoding="utf-8").replace("ok", "sentinel"),
+                     encoding="utf-8")
+    edited = copy.deepcopy(SWEEP_CONFIG)
+    edited["grid"][0]["threshold"] = 0.25
+    after = _rows(sweep(edited, out))
+    assert [r["threshold"] for r in before[:2]] == ["0.5", "0.5"]
+    assert [r["threshold"] for r in after[:2]] == ["0.25", "0.25"]
+    assert [r["status"] for r in after] == ["ok", "ok", "sentinel", "sentinel"]
+    assert after[2:] == [dict(r, status="sentinel") for r in before[2:]]
+    # A setting outside the grid changes every cell's key.
+    reseeded = _rows(sweep(dict(edited, seed=8), out))
+    assert all(r["status"] == "ok" for r in reseeded)
+    assert [r["seed"] for r in reseeded] != [r["seed"] for r in after]
 
 
 def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):

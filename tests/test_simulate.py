@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,48 @@ def test_event_file_rejects_garbage(tmp_path):
     path.write_text("# hawkesgraph-events n=1 horizon=5.0 seed=none model=none\n2.0 0\n1.0 0\n")
     with pytest.raises(ValueError, match="not sorted"):
         load_events(str(path))
+
+
+_EVENT_HEADER = "# hawkesgraph-events n=2 horizon=5.0 seed=none model=none\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1.0 0.5\n",         # non-integer node
+        "1.0 1.0\n",         # integral, but written as a float
+        "1.0 0\n2.0 1 7\n",  # three columns
+        "1.0\n",             # one column
+        "1.0 0\n# note\n",  # comment lines are not part of the format
+    ],
+)
+def test_event_file_rejects_malformed_lines(tmp_path, body):
+    path = tmp_path / "bad.log"
+    path.write_text(_EVENT_HEADER + body)
+    with pytest.raises(ValueError):
+        load_events(str(path))
+
+
+def test_event_file_orders_ties_by_node(tmp_path):
+    path = tmp_path / "events.log"
+    path.write_text(_EVENT_HEADER + "1.0 0\n1.0 1\n\n2.5 0\n")
+    back = load_events(str(path))
+    assert back.times.tolist() == [1.0, 1.0, 2.5]
+    assert back.nodes.tolist() == [0, 1, 0]
+    path.write_text(_EVENT_HEADER + "1.0 1\n1.0 0\n")
+    with pytest.raises(ValueError, match="not sorted"):
+        load_events(str(path))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_event_file_with_no_events(tmp_path, body):
+    path = tmp_path / "empty.log"
+    path.write_text(_EVENT_HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_events(str(path))
+    assert len(back) == 0 and back.n == 2 and back.horizon == 5.0
+    assert back.times.dtype == np.float64 and back.nodes.dtype == np.int64
 
 
 def test_event_file_names_missing_header_field(tmp_path):

@@ -4,16 +4,12 @@ import pytest
 from hawkesgraph import (
     EventLog,
     PairStatistics,
-    accumulate,
+    PairTable,
     accumulate_all,
     bin_count,
     bin_events,
     jitter,
-    load_stats,
-    pair_delta,
-    save_stats,
     simulate,
-    triple_delta,
     window_count,
 )
 from oracles import build_model, naive_pair_stats
@@ -74,50 +70,79 @@ def test_bin_events_matches_oracle_on_awkward_widths():
         log = _uniform_log(rng, n=2, horizon=7.3, events=200)
         grid = bin_events(log, eps)
         d1, d2, k = naive_pair_stats(log, 0, 1, eps)
-        s = accumulate(grid, 0, 1)
+        s = accumulate_all(grid)[(0, 1)]
         assert (s.pair_sum, s.triple_sum, s.windows) == (d1, d2, k)
 
 
 def test_pair_delta_hand_case():
-    log = EventLog(n=2, horizon=6.0, times=np.array([0.5, 1.5, 3.5, 4.5]),
-                   nodes=np.array([0, 1, 1, 0]))
-    grid = bin_events(log, 1.0)
-    assert pair_delta(grid, 0, 1, 0) == 1
-    assert pair_delta(grid, 1, 0, 0) == -1
-    assert pair_delta(grid, 0, 1, 1) == -1  # j leads in the second window
-    with pytest.raises(ValueError):
-        pair_delta(grid, 0, 0, 0)
-    with pytest.raises(ValueError):
-        pair_delta(grid, 0, 1, 2)
+    def pair_sums(times, nodes, horizon):
+        log = EventLog(n=2, horizon=horizon, times=np.array(times), nodes=np.array(nodes))
+        table = accumulate_all(bin_events(log, 1.0))
+        return table[(0, 1)].pair_sum, table[(1, 0)].pair_sum, table.windows
+
+    # i leads in the first window, j in the second
+    assert pair_sums([0.5, 1.5], [0, 1], 3.0) == (1, -1, 1)
+    assert pair_sums([3.5, 4.5], [1, 0], 6.0) == (-1, 1, 2)
+    assert pair_sums([0.5, 1.5, 3.5, 4.5], [0, 1, 1, 0], 6.0) == (0, 0, 2)
+    table = accumulate_all(bin_events(EventLog(n=2, horizon=3.0, times=np.array([0.5]),
+                                               nodes=np.array([0])), 1.0))
+    for key in ((0, 0), (0, 2), (-1, 0)):
+        with pytest.raises(KeyError):
+            table[key]
 
 
 def test_pair_delta_needs_exactly_one():
     log = EventLog(n=2, horizon=3.0, times=np.array([0.2, 0.7, 1.5]),
                    nodes=np.array([0, 0, 1]))
-    grid = bin_events(log, 1.0)
-    assert pair_delta(grid, 0, 1, 0) == 0  # two i-events in the lead bin
+    table = accumulate_all(bin_events(log, 1.0))
+    assert table[(0, 1)].pair_sum == 0  # two i-events in the lead bin
 
 
 def test_triple_delta_hand_cases():
     def one_window(nodes):
         log = EventLog(n=2, horizon=3.0, times=np.array([0.5, 1.5, 2.5]),
                        nodes=np.array(nodes))
-        return bin_events(log, 1.0)
+        return accumulate_all(bin_events(log, 1.0))
 
-    assert triple_delta(one_window([0, 0, 1]), 0, 1, 0) == 1
-    assert triple_delta(one_window([0, 1, 0]), 0, 1, 0) == -2
-    assert triple_delta(one_window([1, 0, 0]), 0, 1, 0) == 1
-    assert triple_delta(one_window([0, 0, 0]), 0, 1, 0) == 0
-    assert triple_delta(one_window([0, 1, 1]), 1, 0, 0) == 1  # jii from the other side
-    with pytest.raises(ValueError):
-        triple_delta(one_window([0, 0, 1]), 0, 1, 1)
+    assert one_window([0, 0, 1])[(0, 1)].triple_sum == 1
+    assert one_window([0, 1, 0])[(0, 1)].triple_sum == -2
+    assert one_window([1, 0, 0])[(0, 1)].triple_sum == 1
+    assert one_window([0, 0, 0])[(0, 1)].triple_sum == 0
+    assert one_window([0, 1, 1])[(1, 0)].triple_sum == 1  # jii from the other side
+    assert one_window([0, 0, 1]).windows == 1
 
 
 def test_pair_statistics_bounds():
+    def table(pair, triple):
+        return PairTable(pair=np.array(pair), triple=np.array(triple), windows=4,
+                         epsilon=0.1, horizon=1.2)
+
+    ok = table([[0, 4], [-4, 0]], [[0, -8], [8, 0]])
     with pytest.raises(ValueError):
-        PairStatistics(0, 1, pair_sum=5, triple_sum=0, windows=4, epsilon=0.1, horizon=1.2)
-    with pytest.raises(ValueError):
-        PairStatistics(0, 1, pair_sum=0, triple_sum=9, windows=4, epsilon=0.1, horizon=1.2)
+        ok.pair[0, 1] = 0
+    with pytest.raises(ValueError, match="window count"):
+        table([[0, 5], [-5, 0]], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="window count"):
+        table([[0, 0], [0, 0]], [[0, 9], [0, 0]])
+    with pytest.raises(ValueError, match="same shape"):
+        table([[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="same shape"):
+        table([0, 0], [0, 0])
+
+
+def test_pair_table_is_a_mapping_of_ordered_pairs():
+    rng = np.random.default_rng(19)
+    log = _uniform_log(rng, n=4, horizon=12.0, events=150)
+    table = accumulate_all(bin_events(log, 0.25))
+    keys = [(i, j) for i in range(4) for j in range(4) if i != j]
+    assert table.n == 4 and len(table) == 12
+    assert list(table) == keys
+    assert (1, 1) not in table and (0, 4) not in table
+    assert dict(table.items()) == {k: table[k] for k in keys}
+    s = table[(2, 3)]
+    assert s == PairStatistics(2, 3, int(table.pair[2, 3]), int(table.triple[2, 3]),
+                               table.windows)
+    assert type(s.pair_sum) is int and type(s.triple_sum) is int
 
 
 def test_accumulate_matches_oracle_bulk():
@@ -130,34 +155,21 @@ def test_accumulate_matches_oracle_bulk():
         log = _uniform_log(rng, n=n, horizon=horizon, events=events)
         grid = bin_events(log, eps)
         i, j = rng.choice(n, size=2, replace=False)
-        s = accumulate(grid, int(i), int(j))
+        s = accumulate_all(grid)[(int(i), int(j))]
         d1, d2, k = naive_pair_stats(log, int(i), int(j), eps)
         assert (s.pair_sum, s.triple_sum, s.windows) == (d1, d2, k)
 
 
-def test_accumulate_all_matches_accumulate():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        log = _uniform_log(rng, n=4, horizon=12.0, events=150)
-        grid = bin_events(log, 0.25)
-        table = accumulate_all(grid)
-        assert len(table) == 12
-        for (i, j), s in table.items():
-            assert s == accumulate(grid, i, j)
-
-
-@pytest.mark.parametrize("stride_bins", [3, 1])
-def test_accumulate_all_matches_oracle_on_multiword_rows(stride_bins):
+def test_accumulate_all_matches_oracle_on_multiword_rows():
     # 12 nodes and more than 64 windows, not a multiple of 64: each node's
     # occupancy spans several packed words and the last one is padded
     rng = np.random.default_rng(31)
     log = _uniform_log(rng, n=12, horizon=30.0, events=1200)
-    table = accumulate_all(bin_events(log, 0.1), stride_bins=stride_bins)
+    table = accumulate_all(bin_events(log, 0.1))
     assert len(table) == 12 * 11
-    windows = next(iter(table.values())).windows
-    assert windows > 64 and windows % 64 != 0
+    assert table.windows > 64 and table.windows % 64 != 0
     for (i, j), s in table.items():
-        want = naive_pair_stats(log, i, j, 0.1, stride_bins)
+        want = naive_pair_stats(log, i, j, 0.1)
         assert (s.pair_sum, s.triple_sum, s.windows) == want
 
 
@@ -178,24 +190,9 @@ def test_accumulate_all_is_independent_of_row_blocking(monkeypatch):
 def test_pair_sum_antisymmetry():
     rng = np.random.default_rng(13)
     log = _uniform_log(rng, n=3, horizon=20.0, events=300)
-    grid = bin_events(log, 0.2)
-    for i, j in [(0, 1), (0, 2), (1, 2)]:
-        fwd = accumulate(grid, i, j)
-        rev = accumulate(grid, j, i)
-        assert fwd.pair_sum == -rev.pair_sum
-        assert fwd.windows == rev.windows
-
-
-def test_overlapping_stride_matches_oracle():
-    rng = np.random.default_rng(17)
-    log = _uniform_log(rng, n=2, horizon=9.0, events=100)
-    grid = bin_events(log, 0.3)
-    s = accumulate(grid, 0, 1, stride_bins=1)
-    d1, d2, k = naive_pair_stats(log, 0, 1, 0.3, stride_bins=1)
-    assert (s.pair_sum, s.triple_sum, s.windows) == (d1, d2, k)
-    assert s.windows > accumulate(grid, 0, 1).windows
-    with pytest.raises(ValueError):
-        accumulate(grid, 0, 1, stride_bins=0)
+    table = accumulate_all(bin_events(log, 0.2))
+    assert np.array_equal(table.pair, -table.pair.T)
+    assert np.any(table.pair != 0)
 
 
 def test_independent_nodes_have_small_pair_sums():
@@ -203,7 +200,7 @@ def test_independent_nodes_have_small_pair_sums():
     total, total_sq = 0, 0
     for seed in range(40):
         log = simulate(model, 60.0, seed=seed)
-        s = accumulate(bin_events(log, 0.2), 0, 1)
+        s = accumulate_all(bin_events(log, 0.2))[(0, 1)]
         total += s.pair_sum
         total_sq += s.pair_sum**2
     # mean of an antisymmetric null statistic: zero within 4 sigma
@@ -223,16 +220,3 @@ def test_jitter_basics():
     assert np.array_equal(np.sort(moved.nodes), np.sort(log.nodes))
     with pytest.raises(ValueError):
         jitter(log, -0.1, seed=1)
-
-
-def test_stats_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(29)
-    log = _uniform_log(rng, n=3, horizon=11.17, events=200)
-    table = accumulate_all(bin_events(log, 0.21))
-    path = tmp_path / "stats.csv"
-    save_stats(table, str(path))
-    back = load_stats(str(path))
-    assert back == table
-    path.write_text("i,j,who,knows\n")
-    with pytest.raises(ValueError, match="not a pair-statistics file"):
-        load_stats(str(path))
