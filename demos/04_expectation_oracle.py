@@ -2,7 +2,8 @@
 """Check the closed-form pattern expectations against brute-force simulation.
 
 Each pattern probability has a polynomial prediction in the bin width; the
-Monte Carlo engine simulates fresh continuations and counts occurrences.
+Monte Carlo oracle draws fresh continuations from the simulator's cluster
+sampler and counts occurrences.
 The discrepancy should shrink one order faster than the prediction itself.
 A second section conditions on a real history prefix instead of an empty
 one, which is how the oracle is used mid-stream.

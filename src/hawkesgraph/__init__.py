@@ -52,17 +52,14 @@ from .model import (
     validate_model,
 )
 from .simulation import (
-    DominatingRateError,
     Event,
     EventLog,
-    build_tracker,
     child_seed,
     intensity,
     load_events,
     max_intensity_trace,
     save_events,
     simulate,
-    simulate_continuation,
 )
 from .stats import (
     BinGrid,

@@ -22,7 +22,7 @@ _PATTERNS = ("ij", "ji", "iij", "iji", "jii")
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    log = simulate(model, args.horizon, args.seed, lookahead=args.lookahead)
+    log = simulate(model, args.horizon, args.seed)
     save_events(log, args.out)
     print(f"{len(log)} events over [0, {args.horizon}] -> {args.out}")
     return 0
@@ -33,6 +33,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_model(model, args.horizon, grid_step=args.grid_step)
     print(report)
     return 0 if report.passed else 1
+
+
+def _node_list(text: str) -> list[int]:
+    """Comma-separated node indices, as the --observed option takes them."""
+    try:
+        nodes = sorted({int(tok) for tok in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated node indices, got {text!r}") from None
+    if nodes[0] < 0:
+        raise argparse.ArgumentTypeError(f"node indices must be nonnegative, got {text!r}")
+    return nodes
 
 
 def _truncated(log: EventLog, horizon: float) -> EventLog:
@@ -48,6 +60,12 @@ def _truncated(log: EventLog, horizon: float) -> EventLog:
 def _cmd_detect(args: argparse.Namespace) -> int:
     log = load_events(args.events)
     horizon = args.horizon if args.horizon is not None else log.horizon
+    if not 0.0 < horizon <= log.horizon:
+        args.usage_error(f"--horizon {horizon} must lie in (0, {log.horizon}], "
+                         f"the horizon of {args.events}")
+    if args.observed and args.observed[-1] >= log.n:
+        args.usage_error(f"--observed node {args.observed[-1]} is out of range: "
+                         f"{args.events} has {log.n} nodes")
     log = _truncated(log, horizon)
     if args.calibrate:
         threshold = calibrate_threshold(
@@ -63,8 +81,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         source=source, use_triples=not args.no_triples,
     )
     if args.observed:
-        observed = sorted({int(tok) for tok in args.observed.split(",")})
-        graph = detect_subset(log, observed, config)
+        graph = detect_subset(log, args.observed, config)
     else:
         graph = detect(accumulate_all(bin_events(log, config.epsilon)), config)
     for i, j in graph.sorted_edges:
@@ -162,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--lookahead", type=float, default=0.1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate", help="check a model file against every assumption")
@@ -178,12 +194,14 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", type=float)
     group.add_argument("--calibrate", action="store_true")
-    p.add_argument("--observed", default="", help="comma-separated node subset")
+    p.add_argument("--observed", type=_node_list, help="comma-separated node subset")
     p.add_argument("--out", default="")
     p.add_argument("--no-triples", action="store_true")
     p.add_argument("--surrogates", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_detect)
+    # Checks against the event log run after parsing and report through the
+    # same usage error as argparse.
+    p.set_defaults(func=_cmd_detect, usage_error=p.error)
 
     p = sub.add_parser("oracle", help="Monte Carlo check of the pattern expectations")
     p.add_argument("--model", required=True)

@@ -175,8 +175,13 @@ def calibrate_threshold(
     """Score quantile under surrogate data with cross-correlation destroyed.
 
     Each surrogate circularly shifts one node's events by a uniform offset
-    (node k % n on the k-th surrogate), then scores every pair involving the
-    shifted node.  The pooled quantile of those null scores is the threshold.
+    (node k % n on the k-th surrogate), then scores both orderings of every
+    pair involving the shifted node.  ``detect`` adds an edge when either
+    ordering reaches the threshold, so a pair's null score is the larger of
+    its two; the pooled quantile of those is the threshold, and an edgeless
+    pair is then reported with probability about 1 - quantile.  (Pooling the
+    two orderings separately would let each cross it at that rate, nearly
+    doubling the false-edge rate.)
 
     The log is binned and packed once.  A surrogate re-bins only the shifted
     node's events into one counts row, packs it, and scores both orderings
@@ -205,7 +210,7 @@ def calibrate_threshold(
         pair, triple = _node_pair_sums(b0, b1, b2, *_packed_occupancy(row[None, :], anchors))
         others = np.arange(log.n) != node
         score = _scores(pair[:, others], triple[:, others], epsilon, log.horizon, use_triples)
-        null_scores.append(score.ravel())
+        null_scores.append(score.max(axis=0))
     return float(np.quantile(np.concatenate(null_scores), quantile))
 
 

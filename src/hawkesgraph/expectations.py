@@ -9,9 +9,11 @@ general ``predicted_pattern``) and estimate the true indicator expectations
 by simulating many continuations of the history (``mc_indicator``,
 ``mc_delta_drift``).
 
-The estimator runs the same thinning scheme as the simulator, vectorized
-across continuations in chunks; models with modulated kernels fall back to
-one continuation at a time.
+The continuations come from the simulator's Poisson-cluster sampler, which
+draws a chunk of up to a million of them as one set of flat arrays.  Only
+the pair's two nodes are binned, with the half-open rule of ``stats``, so a
+chunk reduces to one boolean (chunk, 2, bins) array: which of the two nodes
+fired exactly once in which bin.
 """
 
 from __future__ import annotations
@@ -24,15 +26,8 @@ from typing import Iterator
 import numpy as np
 
 from .model import HawkesModel
-from .simulation import (
-    DominatingRateError,
-    EventLog,
-    IntensityTracker,
-    build_tracker,
-    child_seed,
-    intensity,
-    simulate_continuation,
-)
+from .simulation import EventLog, _cluster, child_seed, intensity
+from .stats import _bin_index
 
 __all__ = [
     "ExpectationReport",
@@ -47,6 +42,8 @@ __all__ = [
 ]
 
 _PATTERNS = ("ij", "ji", "iij", "iji", "jii")
+_ROW = {"i": 0, "j": 1}  # row of each pattern letter in an occupancy chunk
+_CHUNK = 1_000_000  # continuations drawn per call of the sampler
 
 
 def predicted_pattern(model: HawkesModel, lam: dict[int, float], nodes: tuple[int, ...]) -> float:
@@ -171,153 +168,40 @@ def within_envelope(
 
 
 # ---------------------------------------------------------------------------
-# Continuation engines.  Both yield int16 occupancy chunks of shape
-# (chunk, n, nbins): how many times each node fired in each bin of the
-# continuation window.
+# Continuations.  Chunk k of a run draws its continuations from
+# default_rng(child_seed(seed, k)).
 
 def _empty_log(n: int, horizon: float) -> EventLog:
     return EventLog(n=n, horizon=horizon, times=np.array([]), nodes=np.array([], dtype=np.int64))
 
 
-def _chunks_vectorized(
-    model: HawkesModel,
-    tracker: IntensityTracker,
-    t0: float,
-    epsilon: float,
-    nbins: int,
-    trials: int,
-    seed: int,
-    chunk_size: int,
-) -> Iterator[np.ndarray]:
-    n = model.n
-    weight = np.asarray(model.weight_matrix)
-    beta = np.array([[model.kernel(i, j).decay for j in range(n)] for i in range(n)])
-    base0 = np.zeros((n, n))
-    for j, ix in enumerate(tracker._by_source):
-        if ix.size:
-            base0[tracker._tgt[ix], j] = tracker._val[ix]
-    levels = tracker._levels
-    amps = tracker._amps
-    freqs = tracker._freqs
-    phases = tracker._phases
-    all_const = tracker.all_constant
-    slope = model.constants.log_slope_bound
-    duration = nbins * epsilon
-
-    def baselines(times: np.ndarray) -> np.ndarray:
-        if all_const:
-            return np.broadcast_to(levels, (times.size, n))
-        return levels + amps * np.sin(freqs * times[:, None] + phases)
-
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        m = min(chunk_size, trials - done)
-        rng = np.random.default_rng(child_seed(seed, chunk_index))
-        occ = np.zeros((m, n, nbins), dtype=np.int16)
-        s = np.zeros(m)
-        state = np.broadcast_to(base0, (m, n, n)).copy()
-        rows = np.arange(m)
-        iterations = 0
-        while rows.size:
-            iterations += 1
-            if iterations > 1_000_000:
-                raise RuntimeError("thinning failed to terminate inside the window")
-            mu = baselines(t0 + s)
-            growth = 1.0 if all_const else np.exp(slope * (duration - s))
-            bound = mu.sum(axis=1) * growth + (state * weight).sum(axis=(1, 2))
-            wait = rng.standard_exponential(rows.size) / bound
-            s = s + wait
-            alive = s < duration
-            rows, s, wait, bound = rows[alive], s[alive], wait[alive], bound[alive]
-            state = state[alive]
-            if not rows.size:
-                break
-            state *= np.exp(-beta * wait[:, None, None])
-            lam = baselines(t0 + s) + (state * weight).sum(axis=2)
-            lam_tot = lam.sum(axis=1)
-            if np.any(lam_tot > bound * (1.0 + 1e-9)):
-                raise DominatingRateError(
-                    "intensity exceeded its dominating rate inside a continuation window"
-                )
-            accept = rng.random(rows.size) * bound < lam_tot
-            if np.any(accept):
-                lam_acc = lam[accept]
-                draw = rng.random(int(accept.sum())) * lam_tot[accept]
-                node = (np.cumsum(lam_acc, axis=1) < draw[:, None]).sum(axis=1)
-                np.minimum(node, n - 1, out=node)
-                rel = s[accept]
-                b = np.floor(rel / epsilon).astype(np.int64)
-                b -= rel < b * epsilon
-                b += rel >= (b + 1) * epsilon
-                np.clip(b, 0, nbins - 1, out=b)
-                np.add.at(occ, (rows[accept], node, b), 1)
-                state[np.nonzero(accept)[0], :, node] += 1.0
-        yield occ
-        done += m
-        chunk_index += 1
-
-
-def _chunks_sequential(
-    model: HawkesModel,
-    tracker: IntensityTracker,
-    t0: float,
-    epsilon: float,
-    nbins: int,
-    trials: int,
-    seed: int,
-    chunk_size: int,
-) -> Iterator[np.ndarray]:
-    rng = np.random.default_rng(child_seed(seed, 0))
-    duration = nbins * epsilon
-    done = 0
-    while done < trials:
-        m = min(chunk_size, trials - done)
-        occ = np.zeros((m, model.n, nbins), dtype=np.int16)
-        for k in range(m):
-            fresh = tracker.copy()
-            times, nodes = simulate_continuation(model, fresh, duration, rng)
-            for t, u in zip(times, nodes):
-                rel = t - t0
-                b = math.floor(rel / epsilon)
-                if rel < b * epsilon:
-                    b -= 1
-                elif rel >= (b + 1) * epsilon:
-                    b += 1
-                occ[k, u, min(max(b, 0), nbins - 1)] += 1
-        yield occ
-        done += m
-
-
-def _occupancy_chunks(
+def _exactly_once(
     model: HawkesModel,
     prefix: EventLog,
     t0: float,
     epsilon: float,
     nbins: int,
+    i: int,
+    j: int,
     trials: int,
     seed: int,
-    engine: str,
-    chunk_size: int,
 ) -> Iterator[np.ndarray]:
-    tracker = build_tracker(model, prefix, t0)
-    exponential = all(k.family == "exponential" for k in model.distinct_kernels)
-    if engine == "auto":
-        engine = "vectorized" if exponential else "sequential"
-    if engine == "vectorized":
-        if not exponential:
-            raise ValueError("the vectorized engine handles exponential kernels only")
-        return _chunks_vectorized(model, tracker, t0, epsilon, nbins, trials, seed, chunk_size)
-    if engine == "sequential":
-        return _chunks_sequential(model, tracker, t0, epsilon, nbins, trials, seed, chunk_size)
-    raise ValueError(f"unknown engine {engine!r}")
+    """Per chunk of continuations from t0, a boolean (chunk, 2, nbins) array:
+    whether node i (row 0) or node j (row 1) fired exactly once in each bin."""
+    for k, done in enumerate(range(0, trials, _CHUNK)):
+        m = min(_CHUNK, trials - done)
+        rng = np.random.default_rng(child_seed(seed, k))
+        times, nodes, rep = _cluster(model, t0, nbins * epsilon, m, rng, history=prefix)
+        pick = (nodes == i) | (nodes == j)
+        row = nodes[pick] == j
+        cell = (rep[pick] * 2 + row) * nbins + _bin_index(times[pick] - t0, epsilon, nbins)
+        yield np.bincount(cell, minlength=m * 2 * nbins).reshape(m, 2, nbins) == 1
 
 
-def _pattern_mask(occ: np.ndarray, pattern: str, i: int, j: int) -> np.ndarray:
-    node_of = {"i": i, "j": j}
-    out = np.ones(occ.shape[0], dtype=bool)
+def _pattern_mask(once: np.ndarray, pattern: str) -> np.ndarray:
+    out = np.ones(once.shape[0], dtype=bool)
     for b, ch in enumerate(pattern):
-        out &= occ[:, node_of[ch], b] == 1
+        out &= once[:, _ROW[ch], b]
     return out
 
 
@@ -356,8 +240,6 @@ def mc_indicator(
     j: int,
     trials: int,
     seed: int = 0,
-    engine: str = "auto",
-    chunk_size: int = 1_000_000,
 ) -> ExpectationReport:
     """Estimate the expectation of one pattern indicator by simulation.
 
@@ -390,8 +272,8 @@ def mc_indicator(
             f"epsilon={epsilon} is too coarse here: predicted probability {predicted:.3g}"
         )
     hits = 0
-    for occ in _occupancy_chunks(model, prefix, t, epsilon, nbins, trials, seed, engine, chunk_size):
-        hits += int(np.sum(_pattern_mask(occ, pattern, i, j)))
+    for once in _exactly_once(model, prefix, t, epsilon, nbins, i, j, trials, seed):
+        hits += int(np.sum(_pattern_mask(once, pattern)))
     estimate, stderr = _mean_and_stderr(float(hits), float(hits), trials)
     return ExpectationReport(
         pattern=pattern,
@@ -413,8 +295,6 @@ def mc_delta_drift(
     j: int,
     trials: int,
     seed: int = 0,
-    engine: str = "auto",
-    chunk_size: int = 1_000_000,
 ) -> DriftReport:
     """Estimate the normalized drifts of both signed statistics for (i, j).
 
@@ -430,12 +310,12 @@ def mc_delta_drift(
     lam_i = intensity(model, prefix, i, t)
     lam_j = intensity(model, prefix, j, t)
     sum1 = sumsq1 = sum2 = sumsq2 = 0.0
-    for occ in _occupancy_chunks(model, prefix, t, epsilon, 3, trials, seed, engine, chunk_size):
-        d1 = _pattern_mask(occ, "ij", i, j).astype(np.int64) - _pattern_mask(occ, "ji", i, j)
+    for once in _exactly_once(model, prefix, t, epsilon, 3, i, j, trials, seed):
+        d1 = _pattern_mask(once, "ij").astype(np.int64) - _pattern_mask(once, "ji")
         d2 = (
-            _pattern_mask(occ, "iij", i, j).astype(np.int64)
-            - 2 * _pattern_mask(occ, "iji", i, j)
-            + _pattern_mask(occ, "jii", i, j)
+            _pattern_mask(once, "iij").astype(np.int64)
+            - 2 * _pattern_mask(once, "iji")
+            + _pattern_mask(once, "jii")
         )
         sum1 += float(d1.sum())
         sumsq1 += float((d1 * d1).sum())

@@ -1,24 +1,29 @@
-"""Exact simulation of the point process by thinning.
+"""Exact simulation of the point process as a Poisson cluster process.
 
-The sampler draws candidate times from a piecewise-constant dominating rate
-B = (sum of current baselines) * exp(L * lookahead) + (current excitation),
-which is an upper bound for the total intensity until the next event or the
-end of the lookahead window: baselines can grow at log-slope at most L and
-excitation only decays between events.  B is refreshed after every candidate
-and whenever the window expires.  When every baseline is constant the growth
-factor is 1 and the window covers the remaining horizon.
+The process is linear, so it is a Poisson cluster process (Hawkes & Oakes
+1974).  Immigrants arrive on node i at rate mu_i(t).  An event at time s on
+node j has Poisson(w_ij / r_ij(s)) children on node i, each after an
+Exp(r_ij(s)) delay, where r_ij(s) = decay + amplitude * sin(frequency * s)
+is the pair's kernel rate fixed at the parent's time (amplitude 0 for
+exponential kernels).  ``_cluster`` draws many independent copies of the
+process at once, one generation at a time on flat arrays.  Sinusoidal
+immigrants come from one thinning of a stream at the baseline's cap.  A
+frozen history before t0 enters through the children its events still have
+after t0: Poisson(w e^{-r(s)(t0 - s)} / r(s)) of them, each Exp(r(s)) after
+t0, because the kernel is memoryless.
 
-Excitation bookkeeping is O(1) per event for exponential kernels via the
-usual recursive decay state.  Modulated kernels store their source events
-explicitly and drop them once the kernel value falls below 1e-12.
+``IntensityTracker`` follows the intensity of one realization for the peak
+trace: O(1) per event for exponential kernels via the usual recursive decay
+state, while modulated kernels store their source events explicitly and drop
+them once the kernel value falls below 1e-12.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .model import HawkesModel, KernelSpec
 __all__ = [
     "Event",
     "EventLog",
-    "DominatingRateError",
     "simulate",
     "intensity",
     "max_intensity_trace",
@@ -43,14 +47,6 @@ _EVENT_ROW = np.dtype([("time", np.float64), ("node", np.int64)])  # one event-f
 class Event(NamedTuple):
     time: float
     node: int
-
-
-class DominatingRateError(RuntimeError):
-    """Total intensity exceeded the dominating rate during thinning.
-
-    This indicates a model whose declared log-slope bound is too small for
-    its actual baselines.
-    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +139,6 @@ class _ModulatedPair:
             del self.rates[:keep_from]
         return self.weight * total
 
-    def copy(self) -> "_ModulatedPair":
-        other = _ModulatedPair(self.weight, self.spec)
-        other.times = list(self.times)
-        other.rates = list(self.rates)
-        return other
-
 
 class IntensityTracker:
     """Running intensity state for one realization.
@@ -197,27 +187,6 @@ class IntensityTracker:
         self._zero.flags.writeable = False
         self.now = 0.0
 
-    def copy(self) -> "IntensityTracker":
-        other = object.__new__(IntensityTracker)
-        other.model = self.model
-        other._levels = self._levels
-        other._amps = self._amps
-        other._freqs = self._freqs
-        other._phases = self._phases
-        other.all_constant = self.all_constant
-        other._tgt = self._tgt
-        other._w = self._w
-        other._beta = self._beta
-        other._val = self._val.copy()
-        other._by_source = self._by_source
-        other._mod_target = self._mod_target
-        other._modulated = [p.copy() for p in self._modulated]
-        other._mod_by_source = self._mod_by_source
-        other._no_excitation = self._no_excitation
-        other._zero = self._zero
-        other.now = self.now
-        return other
-
     def baselines_at(self, t: float) -> np.ndarray:
         if self.all_constant:
             return self._levels
@@ -241,11 +210,6 @@ class IntensityTracker:
             exc[i] += pair.value(self.now)
         return exc
 
-    def intensities(self, t: float) -> np.ndarray:
-        """Advance to t and return the intensity vector (left limit at t)."""
-        self.advance(t)
-        return self.baselines_at(t) + self.excitation_at_now()
-
     def add_event(self, t: float, node: int) -> None:
         """Record an event; the tracker must already sit at time t."""
         self.advance(t)
@@ -256,129 +220,106 @@ class IntensityTracker:
             self._modulated[k].add(t)
 
 
-def _thin(
+def _cluster(
     model: HawkesModel,
-    tracker: IntensityTracker,
+    t0: float,
+    duration: float,
+    reps: int,
     rng: np.random.Generator,
-    t_end: float,
-    lookahead: float,
-    out_times: list[float],
-    out_nodes: list[int],
-) -> None:
-    """Run the thinning loop from tracker.now to t_end, appending events."""
+    history: EventLog | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``reps`` independent copies of the process on [t0, t0 + duration].
+
+    Returns flat, unsorted arrays (times, nodes, rep), where rep says which
+    copy an event belongs to.  The events of ``history`` before t0 are a
+    frozen past that every copy shares; one at exactly t0 is rejected, since
+    it would belong to what happens after t0.
+    """
     n = model.n
-    slope = model.constants.log_slope_bound
-    all_const = tracker.all_constant
-    no_exc = tracker._no_excitation
-    # Constant baselines and absent excitation cover the hot paths; both sums
-    # are loop-invariant there and the per-candidate numpy traffic matters.
-    static_mu = float(np.sum(tracker.baselines_at(0.0))) if all_const else 0.0
-    t = tracker.now
-    while t < t_end:
-        if all_const:
-            window_end = t_end
-            growth = 1.0
-        else:
-            window_end = min(t + lookahead, t_end)
-            growth = math.exp(slope * (window_end - t))
-        tracker.advance(t)
-        mu_total = static_mu if all_const else float(np.sum(tracker.baselines_at(t)))
-        exc_total = 0.0 if no_exc else float(np.sum(tracker.excitation_at_now()))
-        bound = mu_total * growth + exc_total
-        wait = rng.exponential(1.0 / bound)
-        cand = t + wait
-        if cand >= window_end:
-            t = window_end
-            continue
-        lam = tracker.intensities(cand)
-        lam_total = float(lam.sum())
-        ratio = lam_total / bound
-        if not 0.0 <= ratio <= 1.0 + 1e-9:
-            raise DominatingRateError(
-                f"intensity {lam_total:.6g} exceeded dominating rate {bound:.6g} "
-                f"at t={cand:.6g} (window start {t:.6g}); the declared "
-                f"log-slope bound {slope:.6g} is too small for this model"
-            )
-        if rng.random() < ratio:
-            draw = rng.random() * lam_total
-            acc = 0.0
-            node = n - 1
-            for k in range(n):
-                acc += lam[k]
-                if draw < acc:
-                    node = k
-                    break
-            tracker.add_event(cand, node)
-            out_times.append(cand)
-            out_nodes.append(node)
-        t = cand
+    end = t0 + duration
+    # Out-edges (source j -> target i) grouped by source, with their kernels.
+    pairs = sorted((j, i) for (i, j), w in model.weights.items() if w > 0)
+    source = np.array([j for j, _ in pairs], dtype=np.int64)
+    target = np.array([i for _, i in pairs], dtype=np.int64)
+    weight = np.array([model.weight(i, j) for j, i in pairs])
+    kernels = [model.kernel(i, j) for j, i in pairs]
+    decay = np.array([k.decay for k in kernels])
+    swing = np.array([k.decay_amplitude if k.family == "modulated" else 0.0 for k in kernels])
+    pace = np.array([k.decay_frequency for k in kernels])
+    degree = np.bincount(source, minlength=n)
+    first = np.cumsum(degree) - degree
+
+    def out_edges(times: np.ndarray, nodes: np.ndarray):
+        """Every (event, out-edge) pair: event index, edge index, kernel rate."""
+        deg = degree[nodes]
+        parent = np.repeat(np.arange(nodes.size), deg)
+        edge = first[nodes[parent]] + np.arange(parent.size) - np.repeat(np.cumsum(deg) - deg, deg)
+        return parent, edge, decay[edge] + swing[edge] * np.sin(pace[edge] * times[parent])
+
+    base = model.baselines
+    level = np.array([b.level for b in base])
+    amp = np.array([b.amplitude if b.family == "sinusoidal" else 0.0 for b in base])
+    freq = np.array([b.frequency for b in base])
+    phase = np.array([b.phase for b in base])
+    cap = np.array([b.cap() for b in base])
+    # Immigrants: one Poisson total per node over all copies at the cap rate,
+    # each event in a uniform copy, then thinned down to the baseline rate.
+    nodes = np.repeat(np.arange(n), rng.poisson(cap * (duration * reps)))
+    times = t0 + duration * rng.random(nodes.size)
+    rep = rng.integers(reps, size=nodes.size)
+    if np.any(amp):
+        rate = level[nodes] + amp[nodes] * np.sin(freq[nodes] * times + phase[nodes])
+        keep = rng.random(nodes.size) * cap[nodes] < rate
+        times, nodes, rep = times[keep], nodes[keep], rep[keep]
+    if history is not None:
+        if np.any(history.times == t0):
+            raise ValueError("history contains an event at exactly the split time")
+        # The children the frozen past still has after t0, over all copies.
+        past = history.times < t0
+        parent, edge, rate = out_edges(history.times[past], history.nodes[past])
+        age = t0 - history.times[past][parent]
+        kids = rng.poisson(reps * weight[edge] * np.exp(-rate * age) / rate)
+        edge, rate = np.repeat(edge, kids), np.repeat(rate, kids)
+        times = np.concatenate((times, t0 + rng.standard_exponential(edge.size) / rate))
+        nodes = np.concatenate((nodes, target[edge]))
+        rep = np.concatenate((rep, rng.integers(reps, size=edge.size)))
+
+    # One generation at a time: keep what falls in the window, then draw the
+    # children of every kept event along each of its out-edges.
+    generations = []
+    while True:
+        keep = times <= end
+        times, nodes, rep = times[keep], nodes[keep], rep[keep]
+        generations.append((times, nodes, rep))
+        if not times.size:
+            break
+        parent, edge, rate = out_edges(times, nodes)
+        kids = rng.poisson(weight[edge] / rate)
+        parent, edge, rate = np.repeat(parent, kids), np.repeat(edge, kids), np.repeat(rate, kids)
+        times = times[parent] + rng.standard_exponential(parent.size) / rate
+        nodes = target[edge]
+        rep = rep[parent]
+    times, nodes, rep = (np.concatenate(part) for part in zip(*generations))
+    return times, nodes, rep
 
 
-def simulate(
-    model: HawkesModel,
-    horizon: float,
-    seed: int,
-    lookahead: float = 0.1,
-) -> EventLog:
+def simulate(model: HawkesModel, horizon: float, seed: int) -> EventLog:
     """Sample one realization on [0, horizon].
 
-    Identical (model, horizon, seed, lookahead) inputs reproduce the log
-    bit for bit.  The caller is responsible for supplying a model that
-    passes validation; the dominating-rate check aborts with a diagnostic
-    if the declared smoothness bound is violated along the way.
+    Identical (model, horizon, seed) inputs reproduce the log bit for bit.
+    The caller is responsible for supplying a model that passes validation.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if lookahead <= 0:
-        raise ValueError("lookahead must be positive")
-    rng = np.random.default_rng(seed)
-    tracker = IntensityTracker(model)
-    times: list[float] = []
-    nodes: list[int] = []
-    _thin(model, tracker, rng, horizon, lookahead, times, nodes)
+    times, nodes, _ = _cluster(model, 0.0, horizon, 1, np.random.default_rng(seed))
     return EventLog(
         n=model.n,
         horizon=horizon,
-        times=np.array(times),
-        nodes=np.array(nodes, dtype=np.int64),
+        times=times,
+        nodes=nodes,
         seed=seed,
         fingerprint=model.fingerprint(),
     )
-
-
-def build_tracker(model: HawkesModel, log: EventLog, t: float) -> IntensityTracker:
-    """Tracker positioned at time t with all events strictly before t applied.
-
-    An event at exactly t is rejected: it would belong to whatever happens
-    after t, not to the frozen history.
-    """
-    if np.any(log.times == t):
-        raise ValueError("history contains an event at exactly the split time")
-    tracker = IntensityTracker(model)
-    for s, u in zip(log.times, log.nodes):
-        if s >= t:
-            break
-        tracker.add_event(float(s), int(u))
-    tracker.advance(t)
-    return tracker
-
-
-def simulate_continuation(
-    model: HawkesModel,
-    tracker: IntensityTracker,
-    duration: float,
-    rng: np.random.Generator,
-    lookahead: float = 0.1,
-) -> tuple[list[float], list[int]]:
-    """Extend one frozen history by ``duration``; returns the new events only.
-
-    The tracker is consumed (advanced past the window); copy it first when
-    running repeated continuations from the same state.
-    """
-    times: list[float] = []
-    nodes: list[int] = []
-    _thin(model, tracker, rng, tracker.now + duration, lookahead, times, nodes)
-    return times, nodes
 
 
 def intensity(

@@ -58,7 +58,7 @@ def test_criterion_02_time_rescaling_ks():
     model = build_model(1, {(0, 0): 0.5}, level=1.0, decay=1.0)
     log = simulate(model, 6000.0, seed=11)
     assert len(log) >= 10_000
-    waits = rescaled_waits(log.times, 1.0, 0.5, 1.0)
+    waits = rescaled_waits(model, log.times, log.nodes, 0)
     assert scipy_stats.kstest(waits, "expon").pvalue > 0.01
 
 

@@ -87,6 +87,26 @@ def test_detect_command_observed_subset(chain, capsys):
     assert "0 1" not in out  # node 1 is unobserved
 
 
+@pytest.mark.parametrize("mode", [["--threshold", "0.05"], ["--calibrate", "--surrogates", "4"]])
+def test_detect_rejects_horizon_beyond_the_log(chain, capsys, mode):
+    _, _, events_path = chain  # a log over [0, 200]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--events", events_path, "--epsilon", "0.1", "--horizon", "250", *mode])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--horizon 250.0" in err and "200.0" in err
+
+
+@pytest.mark.parametrize("observed", ["0,a", "0,,2", "-1,2", "0,3"])
+def test_detect_rejects_bad_observed_nodes(chain, capsys, observed):
+    _, _, events_path = chain  # a 3-node log
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--events", events_path, "--epsilon", "0.1", "--threshold", "0.05",
+              f"--observed={observed}"])
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_detect_threshold_and_calibrate_are_exclusive(chain):
     _, _, events_path = chain
     with pytest.raises(SystemExit):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from hawkesgraph import (
+    BaselineSpec,
     EventLog,
     ExpectationReport,
+    HawkesModel,
+    KernelSpec,
     drift_matrix,
     intensity,
     mc_delta_drift,
@@ -13,7 +16,7 @@ from hawkesgraph import (
     predicted_triple,
     within_envelope,
 )
-from oracles import build_model, poisson_pair_prob
+from oracles import build_model, plain_constants, poisson_pair_prob
 
 
 def _two_node(w_ij=0.0, w_ji=0.5, w_self=0.0, decay=1.0, level=1.0):
@@ -111,19 +114,6 @@ def test_mc_indicator_pure_poisson():
     assert report.discrepancy == pytest.approx(abs(report.estimate - report.predicted))
 
 
-def test_mc_indicator_engines_agree():
-    m = _two_node(w_ji=0.5, w_self=0.4, decay=2.0)
-    eps = 0.3
-    vec = mc_indicator(m, None, 0.0, eps, "ij", 0, 1, trials=20_000, seed=12,
-                       engine="vectorized")
-    seq = mc_indicator(m, None, 0.0, eps, "ij", 0, 1, trials=20_000, seed=12,
-                       engine="sequential")
-    spread = np.hypot(vec.stderr, seq.stderr)
-    assert abs(vec.estimate - seq.estimate) <= 5 * spread
-    auto = mc_indicator(m, None, 0.0, eps, "ij", 0, 1, trials=20_000, seed=12)
-    assert auto.estimate == vec.estimate  # exponential kernels pick the array engine
-
-
 def test_mc_indicator_is_deterministic():
     m = _two_node(w_ji=0.5)
     a = mc_indicator(m, None, 0.0, 0.1, "ij", 0, 1, trials=50_000, seed=9)
@@ -133,28 +123,28 @@ def test_mc_indicator_is_deterministic():
     assert a.estimate != c.estimate
 
 
-def test_mc_indicator_modulated_kernels_run_sequentially():
-    from hawkesgraph import HawkesModel, KernelSpec
-    from oracles import plain_constants
-
+def test_mc_indicator_modulated_kernels_are_deterministic():
     m = HawkesModel(
         n=2,
         weights={(1, 0): 0.5},
-        baselines=tuple(
-            __import__("hawkesgraph").BaselineSpec(family="constant", level=1.0)
-            for _ in range(2)
-        ),
+        baselines=tuple(BaselineSpec(family="constant", level=1.0) for _ in range(2)),
         default_kernel=KernelSpec(family="modulated", decay=2.0,
                                   decay_amplitude=0.5, decay_frequency=1.0),
         constants=plain_constants(),
     )
-    with pytest.raises(ValueError, match="vectorized"):
-        mc_indicator(m, None, 0.0, 0.2, "ij", 0, 1, trials=10_000, seed=2,
-                     engine="vectorized")
-    auto = mc_indicator(m, None, 0.0, 0.2, "ij", 0, 1, trials=10_000, seed=2)
-    seq = mc_indicator(m, None, 0.0, 0.2, "ij", 0, 1, trials=10_000, seed=2,
-                       engine="sequential")
-    assert auto.estimate == seq.estimate
+    a = mc_indicator(m, None, 0.0, 0.2, "ij", 0, 1, trials=10_000, seed=2)
+    b = mc_indicator(m, None, 0.0, 0.2, "ij", 0, 1, trials=10_000, seed=2)
+    assert a.estimate > 0.0
+    assert (a.estimate, a.stderr) == (b.estimate, b.stderr)
+
+
+def test_mc_indicator_rejects_prefix_event_at_split_time():
+    m = _two_node(w_ji=0.5, w_self=0.5)
+    prefix = EventLog(n=2, horizon=5.0, times=np.array([1.0, 2.0]), nodes=np.array([0, 0]))
+    with pytest.raises(ValueError, match="split time"):
+        mc_indicator(m, prefix, 2.0, 0.1, "ij", 0, 1, trials=10_000, seed=3)
+    report = mc_indicator(m, prefix, 2.5, 0.1, "ij", 0, 1, trials=10_000, seed=3)
+    assert report.trials == 10_000
 
 
 def test_mc_indicator_conditions_on_prefix():

@@ -4,21 +4,29 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import (
+    build_model,
+    expected_count,
+    mean_count,
+    plain_constants,
+    reference_peak,
+    rescaled_waits,
+)
+from scipy import stats as scipy_stats
+
 from hawkesgraph import (
     BaselineSpec,
-    DominatingRateError,
     EventLog,
+    HawkesModel,
     KernelSpec,
-    build_tracker,
     child_seed,
     intensity,
     load_events,
     max_intensity_trace,
+    planted_model,
     save_events,
     simulate,
-    simulate_continuation,
 )
-from oracles import build_model
 
 
 def test_event_log_sorts_and_freezes():
@@ -62,8 +70,6 @@ def test_simulate_argument_errors():
     model = build_model(1, {})
     with pytest.raises(ValueError):
         simulate(model, 0.0, seed=1)
-    with pytest.raises(ValueError):
-        simulate(model, 1.0, seed=1, lookahead=0.0)
 
 
 def test_poisson_count():
@@ -113,25 +119,26 @@ def test_jump_identity():
 
 
 def test_tracker_matches_direct_intensity_exponential():
-    model = build_model(
-        3,
-        {(1, 0): 0.5, (2, 1): 0.4, (1, 2): 0.2, (0, 0): 0.8, (1, 1): 0.8, (2, 2): 0.8},
-        decay=1.5,
-        stability_slack=0.05,
+    # The peak trace follows the tracker; its peak must equal the direct
+    # intensity sum over the same probes, for constant and sinusoidal
+    # baselines.
+    weights = {(1, 0): 0.5, (2, 1): 0.4, (1, 2): 0.2, (0, 0): 0.8, (1, 1): 0.8, (2, 2): 0.8}
+    constant = build_model(3, weights, decay=1.5, stability_slack=0.05)
+    sinusoidal = build_model(
+        3, weights, decay=1.5, stability_slack=0.05, log_slope_bound=2.0,
+        baselines=tuple(
+            BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5, frequency=f)
+            for f in (0.5, 1.0, 3.0)
+        ),
     )
-    log = simulate(model, 20.0, seed=8)
-    for t in (0.0, 3.7, 11.25, 19.99):
-        assert not np.any(log.times == t)
-        tracker = build_tracker(model, log, t)
-        lam = tracker.intensities(t)
-        for v in range(model.n):
-            assert lam[v] == pytest.approx(intensity(model, log, v, t), abs=1e-9)
+    for model in (constant, sinusoidal):
+        log = simulate(model, 20.0, seed=8)
+        assert len(log) > 10
+        peak, _ = max_intensity_trace(model, log)
+        assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
 
 
 def test_tracker_matches_direct_intensity_modulated():
-    from hawkesgraph import HawkesModel
-    from oracles import plain_constants
-
     model = HawkesModel(
         n=2,
         weights={(1, 0): 0.5, (0, 0): 0.6, (1, 1): 0.6},
@@ -145,46 +152,116 @@ def test_tracker_matches_direct_intensity_modulated():
     )
     log = simulate(model, 15.0, seed=21)
     assert len(log) > 10
-    for t in (2.3, 9.8, 14.5):
-        assert not np.any(log.times == t)
-        tracker = build_tracker(model, log, t)
-        lam = tracker.intensities(t)
-        for v in range(model.n):
-            assert lam[v] == pytest.approx(intensity(model, log, v, t), abs=1e-9)
+    peak, _ = max_intensity_trace(model, log)
+    assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
 
 
-def test_dominating_rate_violation_detected():
-    # The declared log-slope bound is far below the true one (about 45 here),
-    # so the piecewise-constant bound gets overrun almost immediately.
-    fast = BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.9, frequency=5.0)
-    model = build_model(1, {}, baselines=(fast,), log_slope_bound=0.5)
-    with pytest.raises(DominatingRateError, match="log-slope bound"):
-        simulate(model, 50.0, seed=0, lookahead=1.0)
+# ---------------------------------------------------------------------------
+# Sampler gate: time-rescaled waits must look Exp(1) on every node, and mean
+# counts must match the exact finite-horizon mean, for plain runs and for
+# continuations of a frozen history.
 
 
-def test_build_tracker_rejects_event_at_split_time():
-    model = build_model(1, {(0, 0): 0.5})
-    log = EventLog(n=1, horizon=5.0, times=np.array([1.0, 2.0]), nodes=np.array([0, 0]))
-    with pytest.raises(ValueError):
-        build_tracker(model, log, 2.0)
-    tracker = build_tracker(model, log, 2.5)
-    assert tracker.now == 2.5
+def _chains_model():
+    """The criterion-9 model: two planted 5-chains at n = 10."""
+    chains = {(base + k + 1, base + k): 0.8 for base in (0, 5) for k in range(4)}
+    return planted_model(10, chains, self_weight=1.2, decay=2.0, baseline_level=1.0, slack=0.25)
 
 
-def test_continuation_is_deterministic_and_windowed():
-    model = build_model(2, {(1, 0): 0.5, (0, 0): 0.7, (1, 1): 0.7}, decay=2.0)
-    log = simulate(model, 10.0, seed=2)
-    base = build_tracker(model, log, 10.0 + 1e-9)
-    runs = []
-    for _ in range(2):
-        rng = np.random.default_rng(child_seed(77, 0))
-        times, nodes = simulate_continuation(model, base.copy(), 5.0, rng)
-        runs.append((times, nodes))
-    assert runs[0] == runs[1]
-    times, _ = runs[0]
-    assert all(10.0 < t <= 15.0 + 1e-12 for t in times)
-    # the source tracker was copied, not consumed
-    assert base.now == 10.0 + 1e-9
+def _mixed_model():
+    """Sinusoidal baselines, a modulated default kernel, one exponential override."""
+    return HawkesModel(
+        n=3,
+        weights={(0, 0): 0.6, (1, 1): 0.6, (2, 2): 0.6, (1, 0): 0.3, (2, 1): 0.4, (0, 2): 0.3},
+        baselines=(
+            BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5, frequency=0.7),
+            BaselineSpec(family="sinusoidal", level=0.8, amplitude=0.3, frequency=2.0, phase=1.0),
+            BaselineSpec(family="sinusoidal", level=1.1, amplitude=0.8, frequency=0.2, phase=-0.5),
+        ),
+        default_kernel=KernelSpec(family="modulated", decay=2.0,
+                                  decay_amplitude=0.8, decay_frequency=1.5),
+        kernel_overrides={(2, 1): KernelSpec(family="exponential", decay=3.0)},
+        constants=plain_constants(log_slope_bound=3.0),
+    )
+
+
+def _continuations(model, prefix, t0, duration, reps, seed):
+    """reps independent continuations of prefix from t0, as flat arrays
+    (times, nodes, rep) with rep the index of each event's continuation."""
+    from hawkesgraph.simulation import _cluster
+
+    return _cluster(model, t0, duration, reps, np.random.default_rng(seed), history=prefix)
+
+
+def _counts(model, nodes, rep, reps):
+    """(reps, n) event counts of flat continuation arrays."""
+    return np.bincount(rep * model.n + nodes, minlength=reps * model.n).reshape(reps, model.n)
+
+
+def _assert_exponential_waits(model, times, nodes, t0=0.0):
+    for node in range(model.n):
+        waits = rescaled_waits(model, times, nodes, node, t0=t0)
+        assert waits.size > 200
+        assert scipy_stats.kstest(waits, "expon").pvalue > 0.01 / model.n, f"node {node}"
+
+
+def test_rescaled_waits_are_exponential_on_chains_model():
+    model = _chains_model()
+    log = simulate(model, 300.0, seed=601)
+    _assert_exponential_waits(model, log.times, log.nodes)
+
+
+def test_rescaled_waits_are_exponential_on_time_varying_model():
+    model = _mixed_model()
+    log = simulate(model, 600.0, seed=602)
+    _assert_exponential_waits(model, log.times, log.nodes)
+
+
+def test_rescaled_waits_are_exponential_after_frozen_history():
+    model = _mixed_model()
+    prefix = simulate(model, 40.0, seed=603)
+    times, nodes, _ = _continuations(model, prefix, 40.0, 600.0, 1, seed=604)
+    assert times.min() > 40.0 and times.max() <= 640.0
+    _assert_exponential_waits(model, np.concatenate((prefix.times, times)),
+                              np.concatenate((prefix.nodes, nodes)), t0=40.0)
+
+
+def test_mean_count_matches_exact_mean():
+    model = _chains_model()
+    totals = [len(simulate(model, 300.0, seed=700 + k)) for k in range(20)]
+    exact = expected_count(model, 300.0).sum()
+    assert abs(np.mean(totals) - exact) <= 4.0 * np.std(totals, ddof=1) / math.sqrt(20)
+
+
+@pytest.mark.parametrize("case", ["chains", "time-varying"])
+def test_short_window_mean_counts_match_first_moment(case):
+    # Over a window of a few kernel lifetimes from an empty history the mean
+    # count depends on the children's number and delays, not only on the
+    # stationary rate, so many short copies test both per node.
+    model, horizon, seed = {
+        "chains": (_chains_model(), 1.0, 607),
+        "time-varying": (_mixed_model(), 2.0, 608),
+    }[case]
+    reps = 100_000
+    _, nodes, rep = _continuations(model, None, 0.0, horizon, reps, seed=seed)
+    counts = _counts(model, nodes, rep, reps)
+    z = (counts.mean(axis=0) - mean_count(model, horizon)) / (
+        counts.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_continuation_mean_count_matches_exact_mean():
+    model = _chains_model()
+    prefix = simulate(model, 20.0, seed=605)
+    decay = model.default_kernel.decay
+    excitation = np.bincount(prefix.nodes, weights=np.exp(-decay * (20.0 - prefix.times)),
+                             minlength=model.n)
+    reps = 20_000
+    _, nodes, rep = _continuations(model, prefix, 20.0, 0.5, reps, seed=606)
+    totals = _counts(model, nodes, rep, reps).sum(axis=1)
+    exact = expected_count(model, 0.5, excitation).sum()
+    assert exact > mean_count(model, 0.5).sum() * 1.2  # the history matters here
+    assert abs(np.mean(totals) - exact) <= 4.0 * np.std(totals, ddof=1) / math.sqrt(reps)
 
 
 def test_intensity_validation():
