@@ -12,10 +12,14 @@ frozen history before t0 enters through the children its events still have
 after t0: Poisson(w e^{-r(s)(t0 - s)} / r(s)) of them, each Exp(r(s)) after
 t0, because the kernel is memoryless.
 
-``IntensityTracker`` follows the intensity of one realization for the peak
-trace: O(1) per event for exponential kernels via the usual recursive decay
-state, while modulated kernels store their source events explicitly and drop
-them once the kernel value falls below 1e-12.
+``max_intensity_trace`` evaluates the intensity of one realization at all
+its probes in one pass over time blocks.  For exponential kernels, grouped
+by decay, the excitation from each source is a cumulative sum of
+e^{decay (s - b)} over the block's events, rescaled by e^{-decay (t - b)}
+and carried from block to block; a block is short enough that
+decay * (t - b) stays below 30, so nothing overflows.  Modulated kernels,
+whose rate depends on each event, are summed directly over the source
+events still within reach of a 1e-12 kernel value.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import HawkesModel, KernelSpec
+from .model import HawkesModel
 
 __all__ = [
     "Event",
@@ -41,6 +45,8 @@ __all__ = [
 ]
 
 _PRUNE_LOG = 27.631021115928547  # -log(1e-12)
+_BLOCK_SPAN = 10.0  # longest time block of the peak trace
+_BLOCK_EXPONENT = 30.0  # bound on decay * block span, far below float64 overflow
 _EVENT_ROW = np.dtype([("time", np.float64), ("node", np.int64)])  # one event-file line
 
 
@@ -108,116 +114,31 @@ class EventLog:
         )
 
 
-class _ModulatedPair:
-    """Explicit event store for one (target, source) pair with a modulated kernel."""
-
-    __slots__ = ("weight", "spec", "times", "rates")
-
-    def __init__(self, weight: float, spec: KernelSpec):
-        self.weight = weight
-        self.spec = spec
-        self.times: list[float] = []
-        self.rates: list[float] = []
-
-    def add(self, t: float) -> None:
-        self.times.append(t)
-        self.rates.append(float(self.spec.rate(t)))
-
-    def value(self, t: float) -> float:
-        if not self.times:
-            return 0.0
-        total = 0.0
-        keep_from = 0
-        for k, (s, r) in enumerate(zip(self.times, self.rates)):
-            x = r * (t - s)
-            if x > _PRUNE_LOG:
-                keep_from = k + 1
-                continue
-            total += math.exp(-x)
-        if keep_from:
-            del self.times[:keep_from]
-            del self.rates[:keep_from]
-        return self.weight * total
+def _edges(model: HawkesModel) -> tuple[np.ndarray, ...]:
+    """The model's excitation edges (source j -> target i, weight > 0) as flat
+    arrays sorted by (source, target): source, target, weight, and the
+    kernel rate r(s) = decay + swing * sin(pace * s) as decay, swing, pace,
+    with swing 0 for exponential kernels."""
+    pairs = sorted((j, i) for (i, j), w in model.weights.items() if w > 0)
+    kernels = [model.kernel(i, j) for j, i in pairs]
+    source = np.array([j for j, _ in pairs], dtype=np.int64)
+    target = np.array([i for _, i in pairs], dtype=np.int64)
+    weight = np.array([model.weight(i, j) for j, i in pairs])
+    decay = np.array([k.decay for k in kernels])
+    swing = np.array([k.decay_amplitude if k.family == "modulated" else 0.0 for k in kernels])
+    pace = np.array([k.decay_frequency for k in kernels])
+    return source, target, weight, decay, swing, pace
 
 
-class IntensityTracker:
-    """Running intensity state for one realization.
-
-    Exponential pairs share flat arrays so one vectorized decay step advances
-    everything.  ``now`` is the time the state currently describes; queries
-    must not go backwards.
-    """
-
-    def __init__(self, model: HawkesModel):
-        self.model = model
-        n = model.n
-        b = model.baselines
-        self._levels = np.array([s.level for s in b])
-        self._amps = np.array([s.amplitude if s.family == "sinusoidal" else 0.0 for s in b])
-        self._freqs = np.array([s.frequency for s in b])
-        self._phases = np.array([s.phase for s in b])
-        self.all_constant = bool(np.all(self._amps == 0.0))
-
-        tgt, wts, betas = [], [], []
-        by_source: list[list[int]] = [[] for _ in range(n)]
-        self._modulated: list[_ModulatedPair] = []
-        self._mod_target: list[int] = []
-        mod_by_source: list[list[int]] = [[] for _ in range(n)]
-        for (i, j), w in sorted(model.weights.items()):
-            if w == 0.0:
-                continue
-            spec = model.kernel(i, j)
-            if spec.family == "exponential":
-                by_source[j].append(len(tgt))
-                tgt.append(i)
-                wts.append(w)
-                betas.append(spec.decay)
-            else:
-                mod_by_source[j].append(len(self._modulated))
-                self._mod_target.append(i)
-                self._modulated.append(_ModulatedPair(w, spec))
-        self._tgt = np.array(tgt, dtype=np.int64)
-        self._w = np.array(wts)
-        self._beta = np.array(betas)
-        self._val = np.zeros(len(tgt))
-        self._by_source = [np.array(ix, dtype=np.int64) for ix in by_source]
-        self._mod_by_source = mod_by_source
-        self._no_excitation = not tgt and not self._modulated
-        self._zero = np.zeros(n)
-        self._zero.flags.writeable = False
-        self.now = 0.0
-
-    def baselines_at(self, t: float) -> np.ndarray:
-        if self.all_constant:
-            return self._levels
-        return self._levels + self._amps * np.sin(self._freqs * t + self._phases)
-
-    def advance(self, t: float) -> None:
-        if t < self.now:
-            raise ValueError("tracker cannot move backwards")
-        if t > self.now:
-            if self._val.size:
-                self._val *= np.exp(-self._beta * (t - self.now))
-            self.now = t
-
-    def excitation_at_now(self) -> np.ndarray:
-        if self._no_excitation:
-            return self._zero
-        exc = np.zeros(self.model.n)
-        if self._val.size:
-            np.add.at(exc, self._tgt, self._w * self._val)
-        for i, pair in zip(self._mod_target, self._modulated):
-            exc[i] += pair.value(self.now)
-        return exc
-
-    def add_event(self, t: float, node: int) -> None:
-        """Record an event; the tracker must already sit at time t."""
-        self.advance(t)
-        ix = self._by_source[node]
-        if ix.size:
-            self._val[ix] += 1.0
-        for k in self._mod_by_source[node]:
-            self._modulated[k].add(t)
+def _baselines(model: HawkesModel) -> tuple[np.ndarray, ...]:
+    """Per-node baselines mu(t) = level + amp * sin(freq * t + phase) as flat
+    arrays (level, amp, freq, phase), with amp 0 for constant baselines."""
+    base = model.baselines
+    level = np.array([b.level for b in base])
+    amp = np.array([b.amplitude if b.family == "sinusoidal" else 0.0 for b in base])
+    freq = np.array([b.frequency for b in base])
+    phase = np.array([b.phase for b in base])
+    return level, amp, freq, phase
 
 
 def _cluster(
@@ -237,15 +158,7 @@ def _cluster(
     """
     n = model.n
     end = t0 + duration
-    # Out-edges (source j -> target i) grouped by source, with their kernels.
-    pairs = sorted((j, i) for (i, j), w in model.weights.items() if w > 0)
-    source = np.array([j for j, _ in pairs], dtype=np.int64)
-    target = np.array([i for _, i in pairs], dtype=np.int64)
-    weight = np.array([model.weight(i, j) for j, i in pairs])
-    kernels = [model.kernel(i, j) for j, i in pairs]
-    decay = np.array([k.decay for k in kernels])
-    swing = np.array([k.decay_amplitude if k.family == "modulated" else 0.0 for k in kernels])
-    pace = np.array([k.decay_frequency for k in kernels])
+    source, target, weight, decay, swing, pace = _edges(model)
     degree = np.bincount(source, minlength=n)
     first = np.cumsum(degree) - degree
 
@@ -256,12 +169,8 @@ def _cluster(
         edge = first[nodes[parent]] + np.arange(parent.size) - np.repeat(np.cumsum(deg) - deg, deg)
         return parent, edge, decay[edge] + swing[edge] * np.sin(pace[edge] * times[parent])
 
-    base = model.baselines
-    level = np.array([b.level for b in base])
-    amp = np.array([b.amplitude if b.family == "sinusoidal" else 0.0 for b in base])
-    freq = np.array([b.frequency for b in base])
-    phase = np.array([b.phase for b in base])
-    cap = np.array([b.cap() for b in base])
+    level, amp, freq, phase = _baselines(model)
+    cap = np.array([b.cap() for b in model.baselines])
     # Immigrants: one Poisson total per node over all copies at the cap rate,
     # each event in a uniform copy, then thinned down to the baseline rate.
     nodes = np.repeat(np.arange(n), rng.poisson(cap * (duration * reps)))
@@ -362,35 +271,81 @@ def max_intensity_trace(
 ) -> tuple[float, float]:
     """Supremum of the per-node intensity over the log's window.
 
-    Scans the union of a regular grid and the instant just after every
-    event, where jumps put the local maxima.  Returns (value, time).
+    Probes t = 0 and the instant just after every event, where jumps put the
+    local maxima, and a regular grid clamped to [0, horizon] when some
+    baseline varies.  Between events excitation only decays, so with constant
+    baselines no other time can be higher.  Returns (value, time) of the
+    earliest probe that attains the maximum.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    tracker = IntensityTracker(model)
-    grid = np.arange(0.0, log.horizon + grid_step / 2, grid_step)
-    gi = 0
+    n = model.n
+    level, amp, freq, phase = _baselines(model)
+    source, target, weight, decay, swing, pace = _edges(model)
+    # Sorted probe times; a repeated time is probed twice to the same value.
+    probes = np.concatenate(([0.0], log.times))
+    varying = bool(np.any(amp))
+    if varying:
+        grid = np.arange(0.0, log.horizon + grid_step / 2, grid_step)
+        probes = np.sort(np.concatenate((probes, np.minimum(grid, log.horizon))))
+
+    # Exponential edges, one (source, target) weight matrix per distinct decay.
+    exponential = swing == 0.0
+    groups = []
+    for beta in np.unique(decay[exponential]):
+        ix = np.flatnonzero(exponential & (decay == beta))
+        w = np.zeros((n, n))
+        w[source[ix], target[ix]] = weight[ix]
+        groups.append((float(beta), w))
+    # carry[g, j], at the top of each block: the sum of e^{-beta_g (b_prev - s)}
+    # over node j's events s in earlier blocks.
+    carry = np.zeros((len(groups), n))
+    # Modulated edges: the source's events, their kernel rates, and how far
+    # back a kernel value can still exceed 1e-12.
+    modulated = []
+    for e in np.flatnonzero(~exponential):
+        past = log.times_of(source[e])
+        rate = decay[e] + swing[e] * np.sin(pace[e] * past)
+        reach = _PRUNE_LOG / (decay[e] - abs(swing[e]))
+        modulated.append((target[e], weight[e], past, rate, reach))
+    # Within a block, e^{decay (t - b0)} stays below e^{_BLOCK_EXPONENT}.
+    span = min([_BLOCK_SPAN] + [_BLOCK_EXPONENT / beta for beta, _ in groups])
+
     best, best_t = -math.inf, 0.0
-
-    def probe(t: float) -> None:
-        nonlocal best, best_t
-        lam = tracker.baselines_at(t) + tracker.excitation_at_now()
-        top = float(np.max(lam))
-        if top > best:
-            best, best_t = top, t
-
-    for s, u in zip(log.times, log.nodes):
-        s = float(s)
-        while gi < len(grid) and grid[gi] < s:
-            tracker.advance(float(grid[gi]))
-            probe(float(grid[gi]))
-            gi += 1
-        tracker.add_event(s, int(u))
-        probe(s)
-    while gi < len(grid):
-        tracker.advance(float(grid[gi]))
-        probe(float(grid[gi]))
-        gi += 1
+    p0 = e0 = 0
+    b_prev = 0.0
+    while p0 < probes.size:
+        b0 = probes[p0]
+        p1 = max(p0 + 1, int(np.searchsorted(probes, b0 + span)))
+        t = probes[p0:p1]
+        # Every event time is a probe, so the block's events lie in [b0, t[-1]].
+        e1 = int(np.searchsorted(log.times, t[-1], side="right"))
+        times, nodes = log.times[e0:e1], log.nodes[e0:e1]
+        upto = np.searchsorted(times, t, side="right")
+        if varying:
+            lam = level + amp * np.sin(freq * t[:, None] + phase)
+        else:
+            lam = np.tile(level, (t.size, 1))
+        for g, (beta, w) in enumerate(groups):
+            carry[g] *= math.exp(-beta * (b0 - b_prev))
+            jumps = np.zeros((times.size + 1, n))
+            jumps[np.arange(1, times.size + 1), nodes] = np.exp(beta * (times - b0))
+            jumps = np.cumsum(jumps, axis=0)
+            excited = (carry[g] + jumps[upto]) * np.exp(-beta * (t - b0))[:, None]
+            lam += np.einsum("pj,ji->pi", excited, w)  # c_einsum: no BLAS call
+            carry[g] += jumps[-1]
+        for i, w, past, rate, reach in modulated:
+            lo = np.searchsorted(past, t - reach)
+            count = np.searchsorted(past, t, side="right") - lo
+            probe = np.repeat(np.arange(t.size), count)
+            k = np.arange(probe.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+            kernel = np.exp(-rate[k] * (t[probe] - past[k]))
+            lam[:, i] += w * np.bincount(probe, kernel, minlength=t.size)
+        top = lam.max(axis=1)
+        peak = int(np.argmax(top))
+        if top[peak] > best:
+            best, best_t = float(top[peak]), float(t[peak])
+        p0, e0, b_prev = p1, e1, b0
     return best, best_t
 
 

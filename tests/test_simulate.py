@@ -118,10 +118,9 @@ def test_jump_identity():
             assert after - before == pytest.approx(model.weight(v, u), abs=1e-9)
 
 
-def test_tracker_matches_direct_intensity_exponential():
-    # The peak trace follows the tracker; its peak must equal the direct
-    # intensity sum over the same probes, for constant and sinusoidal
-    # baselines.
+def test_peak_trace_matches_direct_intensity_exponential():
+    # The peak of the trace must equal the direct intensity sum over the same
+    # probes, for constant and sinusoidal baselines.
     weights = {(1, 0): 0.5, (2, 1): 0.4, (1, 2): 0.2, (0, 0): 0.8, (1, 1): 0.8, (2, 2): 0.8}
     constant = build_model(3, weights, decay=1.5, stability_slack=0.05)
     sinusoidal = build_model(
@@ -136,9 +135,16 @@ def test_tracker_matches_direct_intensity_exponential():
         assert len(log) > 10
         peak, _ = max_intensity_trace(model, log)
         assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
+    # Events at t = 0 and two at one instant: the probe just after the tie
+    # must count both.
+    log = EventLog(n=3, horizon=5.0, times=np.array([0.0, 1.25, 1.25, 1.3, 4.0]),
+                   nodes=np.array([1, 0, 1, 1, 2]))
+    for model in (constant, sinusoidal):
+        peak, _ = max_intensity_trace(model, log)
+        assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
 
 
-def test_tracker_matches_direct_intensity_modulated():
+def test_peak_trace_matches_direct_intensity_modulated():
     model = HawkesModel(
         n=2,
         weights={(1, 0): 0.5, (0, 0): 0.6, (1, 1): 0.6},
@@ -154,6 +160,32 @@ def test_tracker_matches_direct_intensity_modulated():
     assert len(log) > 10
     peak, _ = max_intensity_trace(model, log)
     assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
+    # Every kernel path at once, over many time blocks (the decay-40 edge
+    # shortens them to 0.75), then the same model on a hand-built log with
+    # events at t = 0 and two at one instant.
+    mixed = HawkesModel(
+        n=3,
+        weights={(1, 0): 0.5, (2, 1): 0.4, (1, 2): 0.2, (0, 0): 0.8, (1, 1): 0.8, (2, 2): 0.8},
+        baselines=tuple(
+            BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5, frequency=f)
+            for f in (0.5, 1.0, 3.0)
+        ),
+        default_kernel=KernelSpec(family="exponential", decay=1.5),
+        kernel_overrides={
+            (2, 1): KernelSpec(family="exponential", decay=40.0),
+            (1, 2): KernelSpec(family="modulated", decay=2.0,
+                               decay_amplitude=0.5, decay_frequency=3.0),
+        },
+        constants=plain_constants(log_slope_bound=2.0),
+    )
+    log = simulate(mixed, 60.0, seed=22)
+    assert len(log) > 100
+    peak, _ = max_intensity_trace(mixed, log)
+    assert peak == pytest.approx(reference_peak(mixed, log), rel=1e-9)
+    log = EventLog(n=3, horizon=5.0, times=np.array([0.0, 1.25, 1.25, 1.3, 4.0]),
+                   nodes=np.array([1, 2, 1, 2, 0]))
+    peak, _ = max_intensity_trace(mixed, log)
+    assert peak == pytest.approx(reference_peak(mixed, log), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +313,11 @@ def test_max_intensity_trace_hand_case():
     assert at == 1.0
     with pytest.raises(ValueError):
         max_intensity_trace(model, log, grid_step=0.0)
+    # At decay 100, e^{100 (9 - 1)} overflows float64 unless the trace's
+    # time blocks are short.
+    fast = build_model(1, {(0, 0): 0.8}, level=1.0, decay=100.0)
+    log = EventLog(n=1, horizon=10.0, times=np.array([1.0, 9.0]), nodes=np.array([0, 0]))
+    assert max_intensity_trace(fast, log) == (pytest.approx(1.8, abs=1e-12), 1.0)
 
 
 def test_max_intensity_trace_empty_log():
@@ -289,6 +326,17 @@ def test_max_intensity_trace_empty_log():
     log = EventLog(n=1, horizon=20.0, times=np.array([]), nodes=np.array([]))
     peak, _ = max_intensity_trace(model, log, grid_step=0.01)
     assert peak == pytest.approx(1.5, abs=1e-3)
+    assert max_intensity_trace(build_model(1, {}, level=2.0), log) == (2.0, 0.0)
+
+
+def test_max_intensity_trace_stays_within_horizon():
+    # The grid np.arange(0, 0.3 + step / 2, step) ends at 0.30000000000000004.
+    base = BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5, frequency=5.0)
+    model = build_model(1, {}, baselines=(base,), log_slope_bound=5.0)
+    log = EventLog(n=1, horizon=0.3, times=np.array([]), nodes=np.array([]))
+    peak, at = max_intensity_trace(model, log)
+    assert 0.0 <= at <= log.horizon
+    assert peak == pytest.approx(intensity(model, log, 0, at), rel=1e-12)
 
 
 def test_child_seed_streams():
