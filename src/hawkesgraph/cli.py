@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 from .detect import DetectorConfig, calibrate_threshold, detect, detect_subset, save_graph
 from .expectations import mc_delta_drift, mc_indicator, within_envelope
@@ -47,6 +48,21 @@ def _node_list(text: str) -> list[int]:
     return nodes
 
 
+def _positive(kind: type) -> Callable[[str], float]:
+    """argparse type for a positive int or float that names a rejected value."""
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+            if value > 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+
+    return parse
+
+
 def _truncated(log: EventLog, horizon: float) -> EventLog:
     if horizon >= log.horizon:
         return log
@@ -66,6 +82,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.observed and args.observed[-1] >= log.n:
         args.usage_error(f"--observed node {args.observed[-1]} is out of range: "
                          f"{args.events} has {log.n} nodes")
+    if horizon < 3 * args.epsilon:
+        args.usage_error(f"--epsilon {args.epsilon} leaves no complete window "
+                         f"(3 * epsilon) in the horizon {horizon}")
     log = _truncated(log, horizon)
     if args.calibrate:
         threshold = calibrate_threshold(
@@ -189,15 +208,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="recover the dependency graph from an event log")
     p.add_argument("--events", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_positive(float), required=True)
     p.add_argument("--horizon", type=float, default=None)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--threshold", type=float)
+    group.add_argument("--threshold", type=_positive(float))
     group.add_argument("--calibrate", action="store_true")
     p.add_argument("--observed", type=_node_list, help="comma-separated node subset")
     p.add_argument("--out", default="")
     p.add_argument("--no-triples", action="store_true")
-    p.add_argument("--surrogates", type=int, default=50)
+    p.add_argument("--surrogates", type=_positive(int), default=50)
     p.add_argument("--seed", type=int, default=0)
     # Checks against the event log run after parsing and report through the
     # same usage error as argparse.

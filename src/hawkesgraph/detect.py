@@ -23,15 +23,7 @@ import numpy as np
 
 from .model import DependencyGraph
 from .simulation import EventLog
-from .stats import (
-    PairTable,
-    _bin_index,
-    _node_pair_sums,
-    _packed_occupancy,
-    _window_anchors,
-    accumulate_all,
-    bin_events,
-)
+from .stats import PairTable, _pack, _sums, accumulate_all, bin_events
 
 __all__ = [
     "DetectorConfig",
@@ -183,11 +175,11 @@ def calibrate_threshold(
     two orderings separately would let each cross it at that rate, nearly
     doubling the false-edge rate.)
 
-    The log is binned and packed once.  A surrogate re-bins only the shifted
-    node's events into one counts row, packs it, and scores both orderings
-    against every other node's unchanged packed rows with the same popcount
-    kernel as ``accumulate_all``; the scores equal those of re-binning the
-    whole shifted log.
+    The log is packed once.  Surrogate k packs only its shifted node's events
+    into row k of one (3, n_surrogates, words) block, and every surrogate is
+    scored at once against every node's unchanged packed rows, with the same
+    popcount kernel as ``accumulate_all``; the scores equal those of packing
+    the whole shifted log.
     """
     if not 0 < quantile < 1:
         raise ValueError("quantile must lie in (0, 1)")
@@ -197,21 +189,21 @@ def calibrate_threshold(
         raise ValueError("cannot calibrate on an empty log")
     if log.n < 2:
         raise ValueError("calibration needs at least two nodes to pair")
-    grid = bin_events(log, epsilon)
-    anchors = _window_anchors(grid)
-    b0, b1, b2 = _packed_occupancy(grid.counts, anchors)
-    rng = np.random.default_rng(seed)
-    null_scores: list[np.ndarray] = []
-    for k in range(n_surrogates):
-        node = k % log.n
-        offset = rng.uniform(0.0, log.horizon)
-        shifted = np.mod(log.times[log.nodes == node] + offset, log.horizon)
-        row = np.bincount(_bin_index(shifted, epsilon, grid.bins), minlength=grid.bins)
-        pair, triple = _node_pair_sums(b0, b1, b2, *_packed_occupancy(row[None, :], anchors))
-        others = np.arange(log.n) != node
-        score = _scores(pair[:, others], triple[:, others], epsilon, log.horizon, use_triples)
-        null_scores.append(score.max(axis=0))
-    return float(np.quantile(np.concatenate(null_scores), quantile))
+    if log.horizon < 3 * epsilon:
+        raise ValueError("horizon must cover at least one window (3 * epsilon)")
+    occupancy = bin_events(log, epsilon).occupancy
+    offsets = np.random.default_rng(seed).uniform(0.0, log.horizon, size=n_surrogates)
+    shifted_node = np.arange(n_surrogates) % log.n
+    block = np.empty((3, n_surrogates, occupancy.shape[2]), dtype=np.uint64)
+    for k, node in enumerate(shifted_node):
+        shifted = np.mod(log.times[log.nodes == node] + offsets[k], log.horizon)
+        block[:, k : k + 1] = _pack(
+            shifted, np.zeros(len(shifted), dtype=np.int64), 1, epsilon, log.horizon
+        )
+    as_i = _scores(*_sums(block, occupancy), epsilon, log.horizon, use_triples)
+    as_j = _scores(*_sums(occupancy, block), epsilon, log.horizon, use_triples).T
+    others = np.arange(log.n) != shifted_node[:, None]
+    return float(np.quantile(np.maximum(as_i, as_j)[others], quantile))
 
 
 def suggest_epsilon(log: EventLog, occupancy: float = 0.05) -> float:

@@ -13,19 +13,22 @@ Sums of these over all complete windows, held as two (n, n) arrays in a
 PairTable, drive edge detection.
 
 All pair and triple sums come from one exact integer kernel.  The
-exactly-one occupancy rows B0, B1, B2 (bins 0, 1, 2 of each window, shape
-(n, W)) are packed into uint64 words, and C(X, Y)[a, b] is the popcount of
-X[a] & Y[b] summed over the words, so that
+exactly-one occupancy rows B0, B1, B2 (bins 0, 1, 2 of each window) are
+packed straight from the events by _pack: a (bin, row) key held by exactly
+one event, in a complete window, sets that window's bit in zero-padded
+uint64 words.  C(X, Y)[a, b] is the popcount of X[a] & Y[b] summed over the
+words, so that
 
   pair   = C(B0, B1) - C(B1, B0)
   triple = C(B0&B1, B2) - 2*C(B0&B2, B1) + C(B1&B2, B0).
 
-C is evaluated in blocks of x-rows whose (rows, n, words) uint64
+The packed grid of an n-node log holds 3 * n * ceil(W / 64) words, a block
+of S calibration surrogates 3 * S * ceil(W / 64), and packing adds a few
+int64 arrays of one entry per event; nothing of size (rows, bins) is built.
+C is evaluated in blocks of x-rows whose (rows, rows of y, words) uint64
 intermediate stays within _BLOCK_BYTES (16 MiB), or one row at a time when a
-single row exceeds it.  Together with its uint8 popcounts a block holds at
-most 1.125 * max(_BLOCK_BYTES, 8 * n * ceil(W / 64)) bytes, on top of the
-packed inputs of 8 * n * ceil(W / 64) bytes each.  The counts are exact
-integers for any W.
+single row exceeds it.  With its uint8 popcounts a block holds at most
+1.125 * max(_BLOCK_BYTES, bytes of y).  The counts are exact for any W.
 """
 
 from __future__ import annotations
@@ -76,19 +79,19 @@ def window_count(horizon: float, epsilon: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BinGrid:
-    """Per-node event counts on the bin grid. counts has shape (n, bins)."""
+    """Exactly-one window occupancy of every node, packed by _pack.
+
+    occupancy has shape (3, n, ceil(W / 64)): plane r, row v has the bit of
+    window w set when bin 3w + r holds exactly one event of node v.
+    """
 
     epsilon: float
     horizon: float
-    counts: np.ndarray
+    occupancy: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.counts.shape[1]
+        return self.occupancy.shape[1]
 
 
 def _bin_index(times: np.ndarray, epsilon: float, nb: int) -> np.ndarray:
@@ -103,13 +106,28 @@ def _bin_index(times: np.ndarray, epsilon: float, nb: int) -> np.ndarray:
     return idx
 
 
+def _pack(
+    times: np.ndarray, rows: np.ndarray, n_rows: int, epsilon: float, horizon: float
+) -> np.ndarray:
+    """(3, n_rows, ceil(W / 64)) uint64 exactly-one occupancy of window bins
+    0, 1, 2, for events at times on rows in [0, n_rows)."""
+    w = window_count(horizon, epsilon)
+    occ = np.zeros((3, n_rows, -(-w // 64)), dtype=np.uint64)
+    keys = _bin_index(times, epsilon, bin_count(horizon, epsilon)) * n_rows + rows
+    keys, hits = np.unique(keys, return_counts=True)
+    # keep the (bin, row) keys of exactly one event whose bin lies in a
+    # complete window, i.e. bin < 3w
+    window, rest = np.divmod(keys[(hits == 1) & (keys < 3 * w * n_rows)], 3 * n_rows)
+    offset, row = np.divmod(rest, n_rows)
+    bit = np.left_shift(np.uint64(1), (window % 64).astype(np.uint64))
+    np.bitwise_or.at(occ, (offset, row, window // 64), bit)
+    return occ
+
+
 def bin_events(log: EventLog, epsilon: float) -> BinGrid:
-    nb = bin_count(log.horizon, epsilon)
-    idx = _bin_index(log.times, epsilon, nb)
-    counts = np.zeros((log.n, nb), dtype=np.int64)
-    np.add.at(counts, (log.nodes, idx), 1)
-    counts.flags.writeable = False
-    return BinGrid(epsilon=epsilon, horizon=log.horizon, counts=counts)
+    occupancy = _pack(log.times, log.nodes, log.n, epsilon, log.horizon)
+    occupancy.flags.writeable = False
+    return BinGrid(epsilon=epsilon, horizon=log.horizon, occupancy=occupancy)
 
 
 class PairStatistics(NamedTuple):
@@ -188,24 +206,6 @@ class PairTable(Mapping):
         )
 
 
-def _window_anchors(grid: BinGrid) -> np.ndarray:
-    """First bin of every complete window."""
-    return np.arange(0, 3 * window_count(grid.horizon, grid.epsilon), 3)
-
-
-def _packed_occupancy(counts: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Exactly-one occupancy of window bins 0, 1, 2 for each row of counts,
-    packed into zero-padded uint64 words of shape (rows, ceil(W / 64))."""
-    rows, w = counts.shape[0], len(anchors)
-    one = counts == 1
-    packed = []
-    for offset in range(3):
-        bits = np.zeros((rows, 64 * -(-w // 64)), dtype=bool)
-        bits[:, :w] = one[:, anchors + offset]
-        packed.append(np.packbits(bits, axis=1).view(np.uint64))
-    return tuple(packed)
-
-
 def _cooccur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """C[a, b] = number of set bits in x[a] & y[b], for packed rows x and y."""
     out = np.empty((x.shape[0], y.shape[0]), dtype=np.int64)
@@ -216,34 +216,23 @@ def _cooccur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _node_pair_sums(
-    b0: np.ndarray, b1: np.ndarray, b2: np.ndarray, r0: np.ndarray, r1: np.ndarray, r2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, triple) sums of one node, given by its packed rows r0, r1, r2 of
-    shape (1, words), against every row of the packed occupancy b0, b1, b2.
-
-    Both have shape (2, n): row 0 takes the node as i and each row as j,
-    row 1 each row as i and the node as j.
-    """
-    pair = _cooccur(r0, b1)[0] - _cooccur(r1, b0)[0]
-    triple_out = (
-        _cooccur(r0 & r1, b2)[0] - 2 * _cooccur(r0 & r2, b1)[0] + _cooccur(r1 & r2, b0)[0]
-    )
-    triple_in = (
-        _cooccur(r2, b0 & b1)[0] - 2 * _cooccur(r1, b0 & b2)[0] + _cooccur(r0, b1 & b2)[0]
-    )
-    return np.stack((pair, -pair)), np.stack((triple_out, triple_in))
+def _sums(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pair, triple) window sums of every row of the packed occupancy x as
+    i against every row of y as j; both have shape (rows of x, rows of y)."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    pair = _cooccur(x0, y1) - _cooccur(x1, y0)
+    triple = _cooccur(x0 & x1, y2) - 2 * _cooccur(x0 & x2, y1) + _cooccur(x1 & x2, y0)
+    return pair, triple
 
 
 def accumulate_all(grid: BinGrid) -> PairTable:
     """Window sums for every ordered pair from one pass of the packed kernel."""
-    anchors = _window_anchors(grid)
-    b0, b1, b2 = _packed_occupancy(grid.counts, anchors)
-    first_second = _cooccur(b0, b1)
+    pair, triple = _sums(grid.occupancy, grid.occupancy)
     return PairTable(
-        pair=first_second - first_second.T,
-        triple=_cooccur(b0 & b1, b2) - 2 * _cooccur(b0 & b2, b1) + _cooccur(b1 & b2, b0),
-        windows=len(anchors),
+        pair=pair,
+        triple=triple,
+        windows=window_count(grid.horizon, grid.epsilon),
         epsilon=grid.epsilon,
         horizon=grid.horizon,
     )

@@ -107,6 +107,24 @@ def test_detect_rejects_bad_observed_nodes(chain, capsys, observed):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--epsilon", "0", "--threshold", "0.05"], "'0'"),
+    (["--epsilon", "-0.1", "--calibrate"], "'-0.1'"),
+    (["--epsilon", "0.1", "--threshold", "0"], "'0'"),
+    (["--epsilon", "0.1", "--threshold", "-2"], "'-2'"),
+    (["--epsilon", "0.1", "--calibrate", "--surrogates", "0"], "'0'"),
+    (["--epsilon", "70", "--calibrate"], "--epsilon 70.0"),  # log over [0, 200]
+    (["--epsilon", "30", "--threshold", "0.05", "--horizon", "60"], "--epsilon 30.0"),
+])
+def test_detect_rejects_bad_detector_arguments(chain, capsys, args, named):
+    _, _, events_path = chain
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--events", events_path, *args])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and named in err
+
+
 def test_detect_threshold_and_calibrate_are_exclusive(chain):
     _, _, events_path = chain
     with pytest.raises(SystemExit):

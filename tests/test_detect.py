@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,9 @@ def test_calibrate_threshold_validation():
     assert len(log) > 0
     with pytest.raises(ValueError, match="two nodes"):
         calibrate_threshold(log, 0.1)
+    short = EventLog(n=3, horizon=1.0, times=np.array([0.1, 0.4, 0.8]), nodes=np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="at least one window"):
+        calibrate_threshold(short, 0.5)
 
 
 @pytest.mark.parametrize("use_triples", [True, False])
@@ -134,6 +138,29 @@ def test_calibrate_threshold_equals_reference(use_triples):
         got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=quantile, seed=3,
                                   use_triples=use_triples)
         assert got == reference_calibration(log, 0.1, 11, quantile, 3, use_triples)
+    # a silent fourth node shifts into an all-zero surrogate row
+    silent = EventLog(n=4, horizon=log.horizon, times=log.times, nodes=log.nodes)
+    for n_surrogates in (1, 9):
+        got = calibrate_threshold(silent, 0.1, n_surrogates=n_surrogates, quantile=0.9, seed=5,
+                                  use_triples=use_triples)
+        assert got == reference_calibration(silent, 0.1, n_surrogates, 0.9, 5, use_triples)
+
+
+def test_packed_statistics_memory_is_bounded():
+    # 1e6 bins: a dense (n, bins) count grid or one bincount row per
+    # surrogate would take tens of MB; the packed occupancy takes 0.5 MB
+    rng = np.random.default_rng(41)
+    times = np.sort(rng.uniform(0.0, 1e4, size=4000))
+    log = EventLog(n=4, horizon=1e4, times=times, nodes=rng.integers(0, 4, size=4000))
+    for run in (lambda: accumulate_all(bin_events(log, 0.01)),
+                lambda: calibrate_threshold(log, 0.01, n_surrogates=8)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def test_detect_subset_equals_restricted_full_run():

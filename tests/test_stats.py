@@ -12,6 +12,7 @@ from hawkesgraph import (
     simulate,
     window_count,
 )
+from hawkesgraph.stats import _bin_index
 from oracles import build_model, naive_pair_stats
 
 
@@ -45,21 +46,23 @@ def test_window_count_examples():
 def test_bin_events_boundaries():
     # half-open bins: an edge event belongs to the bin it starts; the
     # horizon endpoint is clamped into the last bin
-    log = EventLog(n=1, horizon=1.0, times=np.array([0.0, 0.1, 0.35, 0.999999, 1.0]),
-                   nodes=np.zeros(5, dtype=int))
+    times = np.array([0.0, 0.1, 0.35, 0.999999, 1.0])
+    assert bin_count(1.0, 0.1) == 10
+    assert _bin_index(times, 0.1, 10).tolist() == [0, 1, 3, 9, 9]
+    log = EventLog(n=1, horizon=1.0, times=times, nodes=np.zeros(5, dtype=int))
     grid = bin_events(log, 0.1)
-    assert grid.bins == 10
-    assert grid.counts[0].tolist() == [1, 1, 0, 1, 0, 0, 0, 0, 0, 2]
+    # three windows over bins 0-8: bins 0 and 3 are first in windows 0 and 1,
+    # bin 1 is second in window 0, and the doubled bin 9 is in no window
+    assert grid.occupancy.shape == (3, 1, 1)
+    assert np.bitwise_count(grid.occupancy).sum(axis=2).ravel().tolist() == [2, 1, 0]
     with pytest.raises(ValueError):
-        grid.counts[0, 0] = 5
+        grid.occupancy[0, 0, 0] = 5
 
 
 def test_bin_events_uses_float_edges_consistently():
     # 0.3 sits just below the float product 3 * 0.1, so it stays in bin 2;
     # the independent edge-bisection oracle places it the same way
-    log = EventLog(n=1, horizon=1.0, times=np.array([0.3]), nodes=np.array([0]))
-    grid = bin_events(log, 0.1)
-    assert grid.counts[0].tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert _bin_index(np.array([0.3]), 0.1, 10).tolist() == [2]
     edges = np.arange(1, 10) * 0.1
     assert int(np.searchsorted(edges, 0.3, side="right")) == 2
 
