@@ -12,13 +12,13 @@ import sys
 from collections.abc import Callable
 
 from .detect import DetectorConfig, calibrate_threshold, detect, detect_subset, save_graph
-from .expectations import mc_delta_drift, mc_indicator, within_envelope
+from .expectations import (
+    _PATTERNS, _resolve_prefix, mc_delta_drift, mc_indicator, within_envelope,
+)
 from .experiments import random_model, rate_bound_check, run_trial, sweep
 from .model import load_model, validate_model
 from .simulation import EventLog, intensity, load_events, save_events, simulate
-from .stats import accumulate_all, bin_events
-
-_PATTERNS = ("ij", "ji", "iij", "iji", "jii")
+from .stats import accumulate_all, bin_events, window_count
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -31,7 +31,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    report = validate_model(model, args.horizon, grid_step=args.grid_step)
+    report = validate_model(model, args.horizon)
     print(report)
     return 0 if report.passed else 1
 
@@ -63,6 +63,12 @@ def _positive(kind: type) -> Callable[[str], float]:
     return parse
 
 
+def _require_window(args: argparse.Namespace, horizon: float) -> None:
+    if window_count(horizon, args.epsilon) < 1:
+        args.usage_error(f"--epsilon {args.epsilon} leaves no complete window "
+                         f"(3 * epsilon) in the horizon {horizon}")
+
+
 def _truncated(log: EventLog, horizon: float) -> EventLog:
     if horizon >= log.horizon:
         return log
@@ -82,9 +88,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.observed and args.observed[-1] >= log.n:
         args.usage_error(f"--observed node {args.observed[-1]} is out of range: "
                          f"{args.events} has {log.n} nodes")
-    if horizon < 3 * args.epsilon:
-        args.usage_error(f"--epsilon {args.epsilon} leaves no complete window "
-                         f"(3 * epsilon) in the horizon {horizon}")
+    _require_window(args, horizon)
     log = _truncated(log, horizon)
     if args.calibrate:
         threshold = calibrate_threshold(
@@ -113,13 +117,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _lam_max(model, prefix: EventLog | None, t: float) -> float:
-    if prefix is None:
-        return max(float(model.baseline(i).value(t)) for i in range(model.n))
-    if prefix.horizon < t:
-        prefix = EventLog(
-            n=prefix.n, horizon=t, times=prefix.times, nodes=prefix.nodes,
-            seed=prefix.seed, fingerprint=prefix.fingerprint,
-        )
+    prefix = _resolve_prefix(model, prefix, t)
     return max(intensity(model, prefix, i, t) for i in range(model.n))
 
 
@@ -158,13 +156,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    _require_window(args, args.horizon)
     results = []
     for k in range(args.trials):
         seed = args.seed + k
         model = random_model(args.n, args.d, seed)
         config = DetectorConfig(
             epsilon=args.epsilon, horizon=args.horizon,
-            threshold=args.threshold if args.threshold else 1.0,
+            threshold=args.threshold or 1.0,  # a placeholder when calibrating
             use_triples=not args.no_triples,
         )
         result = run_trial(
@@ -202,8 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a model file against every assumption")
     p.add_argument("--model", required=True)
-    p.add_argument("--horizon", type=float, default=100.0)
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--horizon", type=_positive(float), default=100.0)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("detect", help="recover the dependency graph from an event log")
@@ -226,11 +224,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--events", default="", help="optional history prefix")
     p.add_argument("--time", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=_positive(float), default=0.01)
     p.add_argument("--pattern", action="append", choices=_PATTERNS)
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--j", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1_000_000)
+    p.add_argument("--trials", type=_positive(int), default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--envelope-constant", type=float, default=100.0)
     p.add_argument("--drift", action="store_true", help="also check the signed drifts")
@@ -240,17 +238,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="random-model recovery trials")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--horizon", type=_positive(float), required=True)
+    p.add_argument("--epsilon", type=_positive(float), required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--threshold", type=float)
+    group.add_argument("--threshold", type=_positive(float))
     group.add_argument("--calibrate", action="store_true")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive(int), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--surrogates", type=int, default=50)
+    p.add_argument("--surrogates", type=_positive(int), default=50)
     p.add_argument("--no-triples", action="store_true")
     p.add_argument("--no-peak", action="store_true")
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, usage_error=p.error)
 
     p = sub.add_parser("sweep", help="run a YAML grid of trials to CSV")
     p.add_argument("--config", required=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import DependencyGraph
 from .simulation import EventLog
-from .stats import PairTable, _pack, _sums, accumulate_all, bin_events
+from .stats import PairTable, _pack, _sums, accumulate_all, bin_events, window_count
 
 __all__ = [
     "DetectorConfig",
@@ -58,7 +58,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.horizon < 3 * self.epsilon:
+        if window_count(self.horizon, self.epsilon) < 1:
             raise ValueError("horizon must cover at least one window (3 * epsilon)")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
@@ -189,7 +189,7 @@ def calibrate_threshold(
         raise ValueError("cannot calibrate on an empty log")
     if log.n < 2:
         raise ValueError("calibration needs at least two nodes to pair")
-    if log.horizon < 3 * epsilon:
+    if window_count(log.horizon, epsilon) < 1:
         raise ValueError("horizon must cover at least one window (3 * epsilon)")
     occupancy = bin_events(log, epsilon).occupancy
     offsets = np.random.default_rng(seed).uniform(0.0, log.horizon, size=n_surrogates)

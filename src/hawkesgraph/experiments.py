@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# The horizon that random_model and planted_model validate their models at.
+_BUILD_CHECK_HORIZON = 20.0
+
+
 class InfeasibleModelError(ValueError):
     """The requested constraints cannot be satisfied; the message names the
     binding one."""
@@ -77,6 +81,7 @@ class ModelRanges:
 
 def _declared_constants(
     weights: Mapping[tuple[int, int], float],
+    rows: np.ndarray,
     baselines: Sequence[BaselineSpec],
     kernel: KernelSpec,
     n: int,
@@ -85,7 +90,8 @@ def _declared_constants(
     # Constants are realized extremes reused bit-for-bit so validator margins
     # land at zero, never below.  The stability slack alone gets 1e-12 of
     # headroom: 1 - (1 - x) need not round back to x, and the row sums here
-    # and in the validator accumulate in different orders.
+    # and in the validator accumulate in different orders.  ``rows`` are the
+    # row excitation masses of ``weights``.
     cross = [w for (i, j), w in weights.items() if i != j and w > 0]
     gap = math.inf
     for i in range(n):
@@ -98,10 +104,7 @@ def _declared_constants(
         if b.family == "sinusoidal":
             slope = max(slope, abs(b.amplitude) * b.frequency / b.floor())
     slope = max(slope, kernel.rate_cap())
-    mass = 1.0 / kernel.rate_floor()
-    worst_row = max(
-        sum(w * mass for (i2, _), w in weights.items() if i2 == i) for i in range(n)
-    )
+    worst_row = float(rows.max())
     return ModelConstants(
         baseline_floor=min(b.floor() for b in baselines),
         baseline_cap=max(b.cap() for b in baselines),
@@ -115,27 +118,37 @@ def _declared_constants(
     )
 
 
+def _row_masses(
+    weights: Mapping[tuple[int, int], float], kernel: KernelSpec, n: int
+) -> np.ndarray:
+    """Each row's excitation mass bound: the sum of w / rate_floor over its weights."""
+    mass = 1.0 / kernel.rate_floor()
+    rows = np.zeros(n)
+    for (i, _), w in weights.items():
+        rows[i] += w * mass
+    return rows
+
+
 def _rescale_for_stability(
     weights: dict[tuple[int, int], float],
     kernel: KernelSpec,
     n: int,
     slack: float,
     rescale: bool,
-) -> dict[tuple[int, int], float]:
-    mass = 1.0 / kernel.rate_floor()
-    rows = np.zeros(n)
-    for (i, _), w in weights.items():
-        rows[i] += w * mass
+) -> tuple[dict[tuple[int, int], float], np.ndarray]:
+    """Weights with every row mass at most 1 - slack, and those row masses."""
+    rows = _row_masses(weights, kernel, n)
     worst = float(rows.max(initial=0.0))
     if worst <= 1.0 - slack:
-        return weights
+        return weights, rows
     if not rescale:
         raise InfeasibleModelError(
             f"row {int(rows.argmax())} has excitation mass {worst:.4g} "
             f"> {1.0 - slack:.4g}; rescaling disabled"
         )
     factor = (1.0 - slack) / worst
-    return {k: w * factor for k, w in weights.items()}
+    weights = {k: w * factor for k, w in weights.items()}
+    return weights, _row_masses(weights, kernel, n)
 
 
 def random_model(
@@ -144,7 +157,6 @@ def random_model(
     seed: int,
     ranges: ModelRanges | None = None,
     rescale: bool = True,
-    check_horizon: float = 20.0,
 ) -> HawkesModel:
     """Draw a random model with max undirected degree d that passes validation.
 
@@ -197,8 +209,8 @@ def random_model(
         row_max = max((w for (t, _), w in weights.items() if t == i), default=0.0)
         weights[(i, i)] = row_max + r.self_gap + float(rng.uniform(0.0, r.self_extra))
 
-    weights = _rescale_for_stability(weights, kernel, n, r.stability_slack, rescale)
-    constants = _declared_constants(weights, baselines, kernel, n, d)
+    weights, rows = _rescale_for_stability(weights, kernel, n, r.stability_slack, rescale)
+    constants = _declared_constants(weights, rows, baselines, kernel, n, d)
     model = HawkesModel(
         n=n,
         weights=weights,
@@ -206,7 +218,7 @@ def random_model(
         default_kernel=kernel,
         constants=constants,
     )
-    report = validate_model(model, check_horizon)
+    report = validate_model(model, _BUILD_CHECK_HORIZON)
     if not report.passed:
         raise InfeasibleModelError(f"generated model failed validation:\n{report}")
     return model
@@ -220,7 +232,6 @@ def planted_model(
     baseline_level: float = 1.0,
     slack: float = 0.25,
     rescale: bool = True,
-    check_horizon: float = 20.0,
 ) -> HawkesModel:
     """Build a fixed-topology model from explicit (target, source) -> weight
     entries, stabilized the same way random_model is.
@@ -250,11 +261,11 @@ def planted_model(
     for i in range(n):
         weights[(i, i)] = float(self_weight)
     kernel = KernelSpec(family="exponential", decay=float(decay))
-    weights = _rescale_for_stability(weights, kernel, n, slack, rescale)
+    weights, rows = _rescale_for_stability(weights, kernel, n, slack, rescale)
     baselines = tuple(
         BaselineSpec(family="constant", level=float(baseline_level)) for _ in range(n)
     )
-    constants = _declared_constants(weights, baselines, kernel, n, max(max(degree), 1))
+    constants = _declared_constants(weights, rows, baselines, kernel, n, max(max(degree), 1))
     model = HawkesModel(
         n=n,
         weights=weights,
@@ -262,7 +273,7 @@ def planted_model(
         default_kernel=kernel,
         constants=constants,
     )
-    report = validate_model(model, check_horizon)
+    report = validate_model(model, _BUILD_CHECK_HORIZON)
     if not report.passed:
         raise InfeasibleModelError(f"planted model failed validation:\n{report}")
     return model

@@ -70,11 +70,12 @@ def bin_count(horizon: float, epsilon: float) -> int:
 
 def window_count(horizon: float, epsilon: float) -> int:
     """Complete three-bin windows in [0, horizon]; incomplete tails are dropped."""
+    bins = bin_count(horizon, epsilon)
     q = horizon / (3.0 * epsilon)
     base = math.floor(q)
     if base + 1 - q < _SNAP * max(q, 1.0):
         base += 1
-    return min(base, bin_count(horizon, epsilon) // 3)
+    return min(base, bins // 3)
 
 
 @dataclass(frozen=True, eq=False)

@@ -180,6 +180,34 @@ def test_experiment_command(capsys):
     assert "trials above the rate bound" in out
 
 
+_EXPERIMENT = ["experiment", "--n", "2", "--d", "1", "--no-peak"]
+
+
+@pytest.mark.parametrize("args, named", [
+    (_EXPERIMENT + ["--horizon", "20", "--epsilon", "0.1", "--threshold", "0"], "'0'"),
+    (_EXPERIMENT + ["--horizon", "20", "--epsilon", "0", "--threshold", "0.5"], "'0'"),
+    (_EXPERIMENT + ["--horizon", "-20", "--epsilon", "0.1", "--threshold", "0.5"], "'-20'"),
+    (_EXPERIMENT + ["--horizon", "20", "--epsilon", "0.1", "--threshold", "0.5",
+                    "--trials", "0"], "'0'"),
+    (_EXPERIMENT + ["--horizon", "20", "--epsilon", "0.1", "--calibrate",
+                    "--surrogates", "-1"], "'-1'"),
+    (_EXPERIMENT + ["--horizon", "20", "--epsilon", "7", "--threshold", "0.5"],
+     "--epsilon 7.0"),
+    (["validate", "--horizon", "0"], "'0'"),
+    (["oracle", "--epsilon", "0"], "'0'"),
+    (["oracle", "--trials", "0"], "'0'"),
+])
+def test_commands_reject_nonpositive_numbers(chain, capsys, args, named):
+    _, model_path, _ = chain
+    if args[0] != "experiment":
+        args = [args[0], "--model", model_path, *args[1:]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and named in err
+
+
 def test_sweep_command(tmp_path, capsys):
     config = {
         "seed": 7,

@@ -20,6 +20,7 @@ from hawkesgraph import (
     suggest_epsilon,
     theorem_schedule,
     theorem_threshold,
+    window_count,
 )
 from oracles import build_model, reference_calibration
 
@@ -39,6 +40,19 @@ def test_config_validation():
         DetectorConfig(epsilon=0.1, horizon=10.0, threshold=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(epsilon=0.1, horizon=10.0, threshold=0.5, source="guesswork")
+
+
+def test_one_window_rule_for_config_and_calibration():
+    # 0.3 / 0.1 is a hair below 3 in floating point, but window_count snaps
+    # it to one complete window; the detector accepts what the statistics use.
+    assert window_count(0.3, 0.1) == 1
+    config = DetectorConfig(epsilon=0.1, horizon=0.3, threshold=1.0)
+    log = EventLog(n=2, horizon=0.3, times=np.array([0.05, 0.15, 0.25]),
+                   nodes=np.array([0, 1, 0]))
+    got = calibrate_threshold(log, config.epsilon, n_surrogates=4, quantile=0.5, seed=0)
+    assert got == reference_calibration(log, config.epsilon, 4, 0.5, 0, True)
+    with pytest.raises(ValueError, match="at least one window"):
+        DetectorConfig(epsilon=0.1, horizon=0.29, threshold=1.0)
 
 
 def test_pair_score_arithmetic():
@@ -126,6 +140,8 @@ def test_calibrate_threshold_validation():
     short = EventLog(n=3, horizon=1.0, times=np.array([0.1, 0.4, 0.8]), nodes=np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="at least one window"):
         calibrate_threshold(short, 0.5)
+    with pytest.raises(ValueError, match="must be positive"):
+        calibrate_threshold(short, 0.0)
 
 
 @pytest.mark.parametrize("use_triples", [True, False])

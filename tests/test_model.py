@@ -206,7 +206,6 @@ def test_validate_model_passes_clean_model():
     names = [c.name for c in report.checks]
     assert names == [
         "baseline-floor",
-        "kernel-shape",
         "stability",
         "smoothness",
         "weight-bounds",
@@ -243,7 +242,7 @@ def test_validate_flags_kernel_mass_bound():
     m = build_model(2, {(1, 0): 0.1, (0, 0): 0.2, (1, 1): 0.2}, decay=0.4,
                     kernel_mass_bound=2.0, stability_slack=0.05)
     report = validate_model(m, horizon=10.0)
-    stability = report.checks[2]
+    stability = next(c for c in report.checks if c.name == "stability")
     assert not stability.passed
     assert "mass bound" in stability.worst
 
@@ -287,7 +286,78 @@ def test_validate_model_argument_errors():
     with pytest.raises(ValueError):
         validate_model(_valid_model(), horizon=0.0)
     with pytest.raises(ValueError):
-        validate_model(_valid_model(), horizon=1.0, grid_step=-1.0)
+        validate_model(_valid_model(), horizon=-1.0)
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+@pytest.mark.parametrize("horizon", [20.0, 100.0, 400.0, 1000.0])
+def test_smoothness_sees_the_modulated_rate_cap_at_every_horizon(horizon):
+    # The kernel's log-slope |d/dt log phi(t, s)| = rate(s) reaches 3 + 1 = 4,
+    # above the declared 3.5 at every horizon; sampled time-slices can miss it.
+    m = HawkesModel(
+        n=1,
+        weights={(0, 0): 0.3},
+        baselines=(BaselineSpec(family="constant", level=1.0),),
+        default_kernel=KernelSpec(family="modulated", decay=3.0, decay_amplitude=1.0,
+                                  decay_frequency=1.0),
+        constants=plain_constants(log_slope_bound=3.5),
+    )
+    check = _check(validate_model(m, horizon=horizon), "smoothness")
+    assert not check.passed
+    assert check.margin == pytest.approx(3.5 - 1.01 * 4.0, rel=1e-12)
+
+
+def test_smoothness_margin_is_the_sinusoidal_supremum():
+    level, amp, freq = 1.3, -0.7, 2.5
+    b = BaselineSpec(family="sinusoidal", level=level, amplitude=amp, frequency=freq, phase=0.4)
+    m = HawkesModel(
+        n=1,
+        weights={(0, 0): 0.3},
+        baselines=(b,),
+        default_kernel=KernelSpec(family="exponential", decay=0.5),
+        constants=plain_constants(baseline_floor=0.6, log_slope_bound=3.0),
+    )
+    sup = abs(amp) * freq / math.sqrt(level**2 - amp**2)
+    check = _check(validate_model(m, horizon=10.0), "smoothness")
+    assert check.passed
+    assert check.margin == pytest.approx(3.0 - 1.01 * sup, rel=1e-12)
+    # the supremum is attained: a dense scan of one period comes within 1e-6
+    t = np.linspace(0.0, 2 * math.pi / freq, 200_001)
+    slope = np.abs(amp * freq * np.cos(freq * t + 0.4)) / b.value(t)
+    assert slope.max() <= sup * (1 + 1e-12)
+    assert slope.max() == pytest.approx(sup, rel=1e-6)
+
+
+def test_modulated_stability_margin_is_pinned():
+    # n = 10 directed ring with sinusoidal baselines and a modulated default
+    # kernel; its stability check scans about 49 quadrature probe times.
+    n = 10
+    baselines = tuple(
+        BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5,
+                     frequency=0.5 + 0.15 * i, phase=0.6 * i)
+        for i in range(n)
+    )
+    kernel = KernelSpec(family="modulated", decay=3.0, decay_amplitude=1.0, decay_frequency=1.0)
+    weights = {}
+    for i in range(n):
+        weights[(i, i)] = 0.6
+        weights[(i, (i - 1) % n)] = 0.4
+    m = HawkesModel(
+        n=n, weights=weights, baselines=baselines, default_kernel=kernel,
+        constants=ModelConstants(
+            baseline_floor=0.5, baseline_cap=1.5, weight_floor=0.4, weight_cap=0.4,
+            self_gap=0.15, log_slope_bound=4.2, kernel_mass_bound=kernel.mass_bound(),
+            stability_slack=0.4, max_degree=1,
+        ),
+    )
+    report = validate_model(m, horizon=400.0)
+    assert report.passed
+    stability = _check(report, "stability")
+    assert stability.margin == pytest.approx(0.12957502789506092, rel=1e-12)
+    assert stability.worst == "row 0, t=307.1"
 
 
 # --- model files -------------------------------------------------------------
@@ -329,3 +399,84 @@ def test_model_file_broadcast_baseline(tmp_path):
     assert model.n == 3
     assert all(b.level == 1.25 for b in model.baselines)
     assert model.weight(1, 0) == 0.5
+
+
+def _file_model():
+    return HawkesModel(
+        n=2,
+        weights={(1, 0): 0.5123456789012345, (0, 0): 0.9, (1, 1): 0.9},
+        baselines=(
+            BaselineSpec(family="constant", level=1.0),
+            BaselineSpec(family="sinusoidal", level=1.2, amplitude=0.3, frequency=2.0, phase=0.1),
+        ),
+        default_kernel=KernelSpec(family="exponential", decay=2.0),
+        constants=plain_constants(),
+        kernel_overrides={(1, 0): KernelSpec(family="modulated", decay=3.0,
+                                             decay_amplitude=0.5, decay_frequency=1.0)},
+    )
+
+
+_FILE_TEXT = """\
+nodes: 2
+constants:
+  baseline_floor: 0.5
+  baseline_cap: 2.0
+  weight_floor: 0.05
+  weight_cap: 1.5
+  self_gap: 0.05
+  log_slope_bound: 5.0
+  kernel_mass_bound: 2.0
+  stability_slack: 0.05
+  max_degree: 4
+baselines:
+- family: constant
+  level: 1.0
+- family: sinusoidal
+  level: 1.2
+  amplitude: 0.3
+  frequency: 2.0
+  phase: 0.1
+default_kernel:
+  family: exponential
+  decay: 2.0
+weights:
+- - 0
+  - 0
+  - 0.9
+- - 1
+  - 0
+  - 0.5123456789012345
+- - 1
+  - 1
+  - 0.9
+kernel_overrides:
+- target: 1
+  source: 0
+  family: modulated
+  decay: 3.0
+  decay_amplitude: 0.5
+  decay_frequency: 1.0
+"""
+
+
+def test_model_file_text_and_fingerprint_are_pinned(tmp_path):
+    model = _file_model()
+    path = tmp_path / "model.yaml"
+    save_model(model, str(path))
+    assert path.read_text() == _FILE_TEXT
+    assert model.fingerprint() == "d9e0efab2259"
+    assert load_model(str(path)) == model
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "is not a model file"),
+    (_FILE_TEXT.replace("constants:", "limits:"), "lacks 'constants'"),
+    (_FILE_TEXT.replace("  max_degree: 4\n", ""), "lacks 'max_degree'"),
+    (_FILE_TEXT.replace("  decay: 2.0\n", ""), "lacks 'decay'"),
+], ids=["empty", "no-constants-section", "no-max-degree", "no-kernel-decay"])
+def test_load_model_names_what_a_malformed_file_lacks(tmp_path, text, named):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=named) as info:
+        load_model(str(path))
+    assert str(path) in str(info.value)
