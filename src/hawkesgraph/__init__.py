@@ -22,9 +22,7 @@ from .expectations import (
     drift_matrix,
     mc_delta_drift,
     mc_indicator,
-    predicted_pair,
     predicted_pattern,
-    predicted_triple,
     within_envelope,
 )
 from .experiments import (

@@ -127,6 +127,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if prefix is not None and prefix.n != model.n:
         print(f"event log has {prefix.n} nodes but the model has {model.n}")
         return 2
+    for flag, node in (("--i", args.i), ("--j", args.j)):
+        if not 0 <= node < model.n:
+            args.usage_error(f"{flag} {node} is out of range: {args.model} has {model.n} nodes")
+    if args.i == args.j:
+        args.usage_error(f"--i and --j must name two distinct nodes, both are {args.i}")
+    if args.time < 0:
+        args.usage_error(f"--time {args.time} must be nonnegative")
     failures = 0
     lam = _lam_max(model, prefix, args.time)
     patterns = args.pattern or list(_PATTERNS)
@@ -230,10 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--trials", type=_positive(int), default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--envelope-constant", type=float, default=100.0)
+    p.add_argument("--envelope-constant", type=_positive(float), default=100.0)
     p.add_argument("--drift", action="store_true", help="also check the signed drifts")
-    p.add_argument("--drift-sigma", type=float, default=4.0)
-    p.set_defaults(func=_cmd_oracle)
+    p.add_argument("--drift-sigma", type=_positive(float), default=4.0)
+    p.set_defaults(func=_cmd_oracle, usage_error=p.error)
 
     p = sub.add_parser("experiment", help="random-model recovery trials")
     p.add_argument("--n", type=int, required=True)

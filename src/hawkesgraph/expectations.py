@@ -4,16 +4,18 @@ For a frozen history up to time t, the chance that designated nodes fire
 exactly once each in consecutive width-eps bins factorizes, to leading
 order, into a product over the bins: each factor is the node's intensity at
 t plus the jumps contributed by the pattern's earlier bins.  The functions
-here expose those products (``predicted_pair``, ``predicted_triple``, the
-general ``predicted_pattern``) and estimate the true indicator expectations
-by simulating many continuations of the history (``mc_indicator``,
-``mc_delta_drift``).
+here expose those products (``predicted_pattern``, and ``drift_matrix`` for
+the signed pair and triple drifts) and estimate the true indicator
+expectations by simulating many continuations of the history
+(``mc_indicator``, ``mc_delta_drift``).
 
 The continuations come from the simulator's Poisson-cluster sampler, which
 draws a chunk of up to a million of them as one set of flat arrays.  Only
-the pair's two nodes are binned, with the half-open rule of ``stats``, so a
-chunk reduces to one boolean (chunk, 2, bins) array: which of the two nodes
-fired exactly once in which bin.
+the pair's two nodes are binned, with the half-open rule of ``stats``.  Each
+continuation reduces to one code of 2 * bins bits, bit row * bins + bin set
+when node i (row 0) or node j (row 1) fired exactly once in that bin, and a
+run to a histogram of the 4**bins codes.  A pattern is a set of codes, so
+both estimators read their integer sums off that histogram.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .stats import _bin_index
 __all__ = [
     "ExpectationReport",
     "DriftReport",
-    "predicted_pair",
-    "predicted_triple",
     "predicted_pattern",
     "drift_matrix",
     "mc_indicator",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 _PATTERNS = ("ij", "ji", "iij", "iji", "jii")
-_ROW = {"i": 0, "j": 1}  # row of each pattern letter in an occupancy chunk
+_ROW = {"i": 0, "j": 1}  # code bit row of each pattern letter
 _CHUNK = 1_000_000  # continuations drawn per call of the sampler
 
 
@@ -56,27 +55,6 @@ def predicted_pattern(model: HawkesModel, lam: dict[int, float], nodes: tuple[in
     for k, v in enumerate(nodes):
         out *= lam[v] + sum(model.weight(v, u) for u in nodes[:k])
     return out
-
-
-def predicted_pair(model: HawkesModel, i: int, j: int, lam_i: float, lam_j: float) -> float:
-    """Coefficient of eps^2 for "i fires once, then j fires once"."""
-    return lam_i * (lam_j + model.weight(j, i))
-
-
-def predicted_triple(
-    model: HawkesModel, i: int, j: int, lam_i: float, lam_j: float, pattern: str
-) -> float:
-    """Coefficient of eps^3 for the three-bin patterns over nodes i and j."""
-    w_on_i = model.weight(i, j)
-    w_on_j = model.weight(j, i)
-    w_self = model.weight(i, i)
-    if pattern == "jii":
-        return lam_j * (lam_i + w_on_i) * (lam_i + w_on_i + w_self)
-    if pattern == "iji":
-        return lam_i * (lam_j + w_on_j) * (lam_i + w_self + w_on_i)
-    if pattern == "iij":
-        return lam_i * (lam_i + w_self) * (lam_j + 2.0 * w_on_j)
-    raise ValueError(f"unknown triple pattern {pattern!r}")
 
 
 def drift_matrix(model: HawkesModel, i: int, j: int) -> tuple[np.ndarray, float]:
@@ -171,11 +149,7 @@ def within_envelope(
 # Continuations.  Chunk k of a run draws its continuations from
 # default_rng(child_seed(seed, k)).
 
-def _empty_log(n: int, horizon: float) -> EventLog:
-    return EventLog(n=n, horizon=horizon, times=np.array([]), nodes=np.array([], dtype=np.int64))
-
-
-def _exactly_once(
+def _code_counts(
     model: HawkesModel,
     prefix: EventLog,
     t0: float,
@@ -185,24 +159,30 @@ def _exactly_once(
     j: int,
     trials: int,
     seed: int,
-) -> Iterator[np.ndarray]:
-    """Per chunk of continuations from t0, a boolean (chunk, 2, nbins) array:
-    whether node i (row 0) or node j (row 1) fired exactly once in each bin."""
+) -> np.ndarray:
+    """How many of ``trials`` continuations from t0 show each of the 4**nbins
+    codes: bit row * nbins + bin is set when node i (row 0) or node j (row 1)
+    fired exactly once in that bin."""
+    counts = np.zeros(4**nbins, dtype=np.int64)
     for k, done in enumerate(range(0, trials, _CHUNK)):
         m = min(_CHUNK, trials - done)
         rng = np.random.default_rng(child_seed(seed, k))
         times, nodes, rep = _cluster(model, t0, nbins * epsilon, m, rng, history=prefix)
         pick = (nodes == i) | (nodes == j)
         row = nodes[pick] == j
-        cell = (rep[pick] * 2 + row) * nbins + _bin_index(times[pick] - t0, epsilon, nbins)
-        yield np.bincount(cell, minlength=m * 2 * nbins).reshape(m, 2, nbins) == 1
+        keys = (rep[pick] * 2 + row) * nbins + _bin_index(times[pick] - t0, epsilon, nbins)
+        keys, hits = np.unique(keys, return_counts=True)
+        owner, bit = np.divmod(keys[hits == 1], 2 * nbins)
+        code = np.zeros(m, dtype=np.int64)
+        np.bitwise_or.at(code, owner, np.left_shift(1, bit))
+        counts += np.bincount(code, minlength=counts.size)
+    return counts
 
 
-def _pattern_mask(once: np.ndarray, pattern: str) -> np.ndarray:
-    out = np.ones(once.shape[0], dtype=bool)
-    for b, ch in enumerate(pattern):
-        out &= once[:, _ROW[ch], b]
-    return out
+def _pattern_mask(pattern: str, nbins: int) -> np.ndarray:
+    """Which of the 4**nbins codes show the pattern."""
+    need = sum(1 << (_ROW[ch] * nbins + b) for b, ch in enumerate(pattern))
+    return (np.arange(4**nbins) & need) == need
 
 
 def _mean_and_stderr(total: float, total_sq: float, trials: int) -> tuple[float, float]:
@@ -215,7 +195,8 @@ def _mean_and_stderr(total: float, total_sq: float, trials: int) -> tuple[float,
 
 def _resolve_prefix(model: HawkesModel, prefix: EventLog | None, t: float) -> EventLog:
     if prefix is None:
-        return _empty_log(model.n, max(t, 1.0))
+        return EventLog(n=model.n, horizon=max(t, 1.0), times=np.array([]),
+                        nodes=np.array([], dtype=np.int64))
     if prefix.horizon < t:
         # Extend the clock so intensities can be queried at t; no events are
         # added, the history is simply known to be quiet after its horizon.
@@ -228,6 +209,27 @@ def _resolve_prefix(model: HawkesModel, prefix: EventLog | None, t: float) -> Ev
             fingerprint=prefix.fingerprint,
         )
     return prefix
+
+
+def _frozen_intensities(
+    model: HawkesModel,
+    prefix: EventLog | None,
+    t: float,
+    epsilon: float,
+    i: int,
+    j: int,
+    trials: int,
+) -> tuple[EventLog, float, float]:
+    """Check the arguments both estimators share; return the history resolved
+    to time t and the intensities of i and j there."""
+    if i == j or not (0 <= i < model.n and 0 <= j < model.n):
+        raise ValueError("need two distinct valid nodes")
+    if epsilon <= 0 or t < 0 or trials < 1:
+        raise ValueError("bad epsilon, time, or trial count")
+    if prefix is not None and prefix.n != model.n:
+        raise ValueError(f"the prefix has {prefix.n} nodes but the model has {model.n}")
+    prefix = _resolve_prefix(model, prefix, t)
+    return prefix, intensity(model, prefix, i, t), intensity(model, prefix, j, t)
 
 
 def mc_indicator(
@@ -250,19 +252,13 @@ def mc_indicator(
     """
     if pattern not in _PATTERNS:
         raise ValueError(f"pattern must be one of {_PATTERNS}")
-    if i == j or not (0 <= i < model.n and 0 <= j < model.n):
-        raise ValueError("need two distinct valid nodes")
-    if epsilon <= 0 or t < 0 or trials < 1:
-        raise ValueError("bad epsilon, time, or trial count")
+    prefix, lam_i, lam_j = _frozen_intensities(model, prefix, t, epsilon, i, j, trials)
     if trials < 10_000:
         warnings.warn(
             f"{trials} continuations give a very noisy estimate; use at least 10000",
             UserWarning,
             stacklevel=2,
         )
-    prefix = _resolve_prefix(model, prefix, t)
-    lam_i = intensity(model, prefix, i, t)
-    lam_j = intensity(model, prefix, j, t)
     nbins = len(pattern)
     node_of = {"i": i, "j": j}
     coeff = predicted_pattern(model, {i: lam_i, j: lam_j}, tuple(node_of[ch] for ch in pattern))
@@ -271,9 +267,8 @@ def mc_indicator(
         raise ValueError(
             f"epsilon={epsilon} is too coarse here: predicted probability {predicted:.3g}"
         )
-    hits = 0
-    for once in _exactly_once(model, prefix, t, epsilon, nbins, i, j, trials, seed):
-        hits += int(np.sum(_pattern_mask(once, pattern)))
+    counts = _code_counts(model, prefix, t, epsilon, nbins, i, j, trials, seed)
+    hits = int(counts[_pattern_mask(pattern, nbins)].sum())
     estimate, stderr = _mean_and_stderr(float(hits), float(hits), trials)
     return ExpectationReport(
         pattern=pattern,
@@ -302,27 +297,14 @@ def mc_delta_drift(
     triple counts are averaged and scaled by eps^-2 and eps^-3, then
     compared against the drift-matrix predictions at the frozen intensities.
     """
-    if i == j or not (0 <= i < model.n and 0 <= j < model.n):
-        raise ValueError("need two distinct valid nodes")
-    if epsilon <= 0 or t < 0 or trials < 1:
-        raise ValueError("bad epsilon, time, or trial count")
-    prefix = _resolve_prefix(model, prefix, t)
-    lam_i = intensity(model, prefix, i, t)
-    lam_j = intensity(model, prefix, j, t)
-    sum1 = sumsq1 = sum2 = sumsq2 = 0.0
-    for once in _exactly_once(model, prefix, t, epsilon, 3, i, j, trials, seed):
-        d1 = _pattern_mask(once, "ij").astype(np.int64) - _pattern_mask(once, "ji")
-        d2 = (
-            _pattern_mask(once, "iij").astype(np.int64)
-            - 2 * _pattern_mask(once, "iji")
-            + _pattern_mask(once, "jii")
-        )
-        sum1 += float(d1.sum())
-        sumsq1 += float((d1 * d1).sum())
-        sum2 += float(d2.sum())
-        sumsq2 += float((d2 * d2).sum())
-    mean1, se1 = _mean_and_stderr(sum1, sumsq1, trials)
-    mean2, se2 = _mean_and_stderr(sum2, sumsq2, trials)
+    prefix, lam_i, lam_j = _frozen_intensities(model, prefix, t, epsilon, i, j, trials)
+    counts = _code_counts(model, prefix, t, epsilon, 3, i, j, trials, seed)
+    # the signed pair and triple counts of each code
+    on = {p: _pattern_mask(p, 3).astype(np.int64) for p in _PATTERNS}
+    d1 = on["ij"] - on["ji"]
+    d2 = on["iij"] - 2 * on["iji"] + on["jii"]
+    mean1, se1 = _mean_and_stderr(float(counts @ d1), float(counts @ (d1 * d1)), trials)
+    mean2, se2 = _mean_and_stderr(float(counts @ d2), float(counts @ (d2 * d2)), trials)
     m, _ = drift_matrix(model, i, j)
     predicted = m @ np.array([lam_i, lam_j])
     return DriftReport(

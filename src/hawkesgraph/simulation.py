@@ -46,6 +46,7 @@ __all__ = [
 
 _PRUNE_LOG = 27.631021115928547  # -log(1e-12)
 _BLOCK_SPAN = 10.0  # longest time block of the peak trace
+_PEAK_GRID_STEP = 0.05  # probe spacing of the peak trace when a baseline varies
 _BLOCK_EXPONENT = 30.0  # bound on decay * block span, far below float64 overflow
 _EVENT_ROW = np.dtype([("time", np.float64), ("node", np.int64)])  # one event-file line
 
@@ -264,11 +265,7 @@ def intensity(
     return total
 
 
-def max_intensity_trace(
-    model: HawkesModel,
-    log: EventLog,
-    grid_step: float = 0.05,
-) -> tuple[float, float]:
+def max_intensity_trace(model: HawkesModel, log: EventLog) -> tuple[float, float]:
     """Supremum of the per-node intensity over the log's window.
 
     Probes t = 0 and the instant just after every event, where jumps put the
@@ -277,8 +274,6 @@ def max_intensity_trace(
     baselines no other time can be higher.  Returns (value, time) of the
     earliest probe that attains the maximum.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     n = model.n
     level, amp, freq, phase = _baselines(model)
     source, target, weight, decay, swing, pace = _edges(model)
@@ -286,7 +281,7 @@ def max_intensity_trace(
     probes = np.concatenate(([0.0], log.times))
     varying = bool(np.any(amp))
     if varying:
-        grid = np.arange(0.0, log.horizon + grid_step / 2, grid_step)
+        grid = np.arange(0.0, log.horizon + _PEAK_GRID_STEP / 2, _PEAK_GRID_STEP)
         probes = np.sort(np.concatenate((probes, np.minimum(grid, log.horizon))))
 
     # Exponential edges, one (source, target) weight matrix per distinct decay.

@@ -30,7 +30,7 @@ from hawkesgraph import (
     mc_delta_drift,
     mc_indicator,
     planted_model,
-    predicted_pair,
+    predicted_pattern,
     random_model,
     run_trial,
     simulate,
@@ -85,7 +85,7 @@ def test_criterion_04_pair_expectation_accuracy():
     """Second-order pair prediction matches quadrature and Monte Carlo."""
     start = time.perf_counter()
     model = build_model(2, {(1, 0): 0.5}, level=1.0, decay=1.0)
-    predicted = predicted_pair(model, 0, 1, 1.0, 1.0)
+    predicted = predicted_pattern(model, {0: 1.0, 1: 1.0}, (0, 1))
     assert predicted == 1.5
     exact = {eps: excited_pair_prob(eps, 0.5, beta=1.0) for eps in (0.04, 0.02, 0.01)}
     assert exact[0.04] == pytest.approx(0.0021449934409328835, rel=1e-12)

@@ -170,6 +170,21 @@ def test_oracle_command_rejects_mismatched_prefix(chain, tmp_path, capsys):
     assert "3 nodes but the model has 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--i", "3"], "--i 3"),  # the chain model has 3 nodes
+    (["--j", "-1"], "--j -1"),
+    (["--i", "1", "--j", "1"], "both are 1"),
+    (["--time", "-0.5"], "--time -0.5"),
+])
+def test_oracle_rejects_bad_arguments(chain, capsys, args, named):
+    _, model_path, _ = chain
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "--model", model_path, "--pattern", "ij", "--trials", "20000", *args])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and named in err
+
+
 def test_experiment_command(capsys):
     rc = main(["experiment", "--n", "2", "--d", "1", "--horizon", "50",
                "--epsilon", "0.1", "--threshold", "0.5", "--trials", "2",
@@ -196,6 +211,8 @@ _EXPERIMENT = ["experiment", "--n", "2", "--d", "1", "--no-peak"]
     (["validate", "--horizon", "0"], "'0'"),
     (["oracle", "--epsilon", "0"], "'0'"),
     (["oracle", "--trials", "0"], "'0'"),
+    (["oracle", "--envelope-constant", "0"], "'0'"),
+    (["oracle", "--drift", "--drift-sigma", "-1"], "'-1'"),
 ])
 def test_commands_reject_nonpositive_numbers(chain, capsys, args, named):
     _, model_path, _ = chain

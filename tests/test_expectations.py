@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,11 @@ from hawkesgraph import (
     intensity,
     mc_delta_drift,
     mc_indicator,
-    predicted_pair,
     predicted_pattern,
-    predicted_triple,
     within_envelope,
 )
+from hawkesgraph.expectations import _CHUNK, _resolve_prefix
+from hawkesgraph.simulation import _cluster, child_seed
 from oracles import build_model, plain_constants, poisson_pair_prob
 
 
@@ -32,33 +35,20 @@ def _two_node(w_ij=0.0, w_ji=0.5, w_self=0.0, decay=1.0, level=1.0):
 
 def test_predicted_pair_examples():
     m = _two_node(w_ji=0.5)
-    assert predicted_pair(m, 0, 1, 1.0, 1.0) == pytest.approx(1.5)
+    assert predicted_pattern(m, {0: 1.0, 1: 1.0}, (0, 1)) == pytest.approx(1.5)
     none = _two_node(w_ji=0.0)
-    assert predicted_pair(none, 0, 1, 1.3, 0.7) == pytest.approx(1.3 * 0.7)
-    assert predicted_pair(m, 0, 1, 0.0, 1.0) == 0.0
+    assert predicted_pattern(none, {0: 1.3, 1: 0.7}, (0, 1)) == pytest.approx(1.3 * 0.7)
+    assert predicted_pattern(m, {0: 0.0, 1: 1.0}, (0, 1)) == 0.0
 
 
 def test_predicted_triple_examples():
+    lam = {0: 1.0, 1: 1.0}
     m = _two_node(w_ji=0.5, w_self=1.0)
-    assert predicted_triple(m, 0, 1, 1.0, 1.0, "iij") == pytest.approx(4.0)
+    assert predicted_pattern(m, lam, (0, 0, 1)) == pytest.approx(4.0)  # iij
     m2 = _two_node(w_ij=0.0, w_ji=0.5, w_self=1.0)
-    assert predicted_triple(m2, 0, 1, 1.0, 1.0, "jii") == pytest.approx(2.0)
+    assert predicted_pattern(m2, lam, (1, 0, 0)) == pytest.approx(2.0)  # jii
     m3 = _two_node(w_ij=0.5, w_ji=0.5, w_self=1.0)
-    assert predicted_triple(m3, 0, 1, 1.0, 1.0, "iji") == pytest.approx(3.75)
-    with pytest.raises(ValueError):
-        predicted_triple(m, 0, 1, 1.0, 1.0, "jji")
-
-
-def test_predicted_pattern_matches_special_cases():
-    m = _two_node(w_ij=0.3, w_ji=0.5, w_self=0.9)
-    lam = {0: 1.2, 1: 0.8}
-    assert predicted_pattern(m, lam, (0, 1)) == pytest.approx(
-        predicted_pair(m, 0, 1, 1.2, 0.8)
-    )
-    for pattern, nodes in [("iij", (0, 0, 1)), ("iji", (0, 1, 0)), ("jii", (1, 0, 0))]:
-        assert predicted_pattern(m, lam, nodes) == pytest.approx(
-            predicted_triple(m, 0, 1, 1.2, 0.8, pattern)
-        )
+    assert predicted_pattern(m3, lam, (0, 1, 0)) == pytest.approx(3.75)  # iji
 
 
 def test_drift_matrix_example():
@@ -156,7 +146,63 @@ def test_mc_indicator_conditions_on_prefix():
     lam_i = intensity(m, padded, 0, t)
     lam_j = intensity(m, padded, 1, t)
     assert lam_i > 1.0  # recent history is still felt
-    assert report.predicted == pytest.approx(eps**2 * predicted_pair(m, 0, 1, lam_i, lam_j))
+    assert report.predicted == pytest.approx(
+        eps**2 * predicted_pattern(m, {0: lam_i, 1: lam_j}, (0, 1))
+    )
+
+
+def test_estimators_reject_a_prefix_of_another_node_count():
+    m = _two_node(w_ji=0.5)
+    prefix = EventLog(n=3, horizon=2.0, times=np.array([1.0, 1.5]), nodes=np.array([0, 2]))
+    with pytest.raises(ValueError, match="prefix has 3 nodes but the model has 2"):
+        mc_indicator(m, prefix, 2.5, 0.1, "ij", 0, 1, trials=20_000, seed=5)
+    with pytest.raises(ValueError, match="prefix has 3 nodes but the model has 2"):
+        mc_delta_drift(m, prefix, 2.5, 0.1, 0, 1, trials=20_000, seed=5)
+
+
+def test_estimators_are_pinned():
+    # Every sum behind a report is an integer, so an exact rewrite of the
+    # estimators must return these reports bit for bit.
+    m = _two_node(w_ji=0.5, w_self=0.6, decay=1.0)
+    prefix = EventLog(n=2, horizon=2.0, times=np.array([1.7, 1.9]), nodes=np.array([0, 0]))
+    pinned = {
+        "ij": (0.0203, 0.0009972187434365205, 0.03196282237632769,
+               0.011662822376327694),
+        "ji": (0.01755, 0.0009285165492058327, 0.023968400575693948,
+               0.0064184005756939486),
+        "iij": (0.00365, 0.00042643049509663057, 0.008786135929448612,
+                0.005136135929448612),
+        "iji": (0.0032, 0.0003993694715407526, 0.007028255022881625,
+                0.003828255022881625),
+        "jii": (0.00265, 0.0003635319556437078, 0.005270374116314639,
+                0.002620374116314639),
+    }
+    for pattern, values in pinned.items():
+        report = mc_indicator(m, prefix, 2.5, 0.1, pattern, 0, 1, trials=20_000, seed=5)
+        assert dataclasses.astuple(report) == (pattern, *values, 20_000, 0.1)
+    # two chunks of continuations, the second from child_seed(7, 1)
+    drift = mc_delta_drift(m, prefix, 2.5, 0.1, 0, 1, trials=_CHUNK + 3, seed=7)
+    assert dataclasses.astuple(drift) == (
+        0.3811988564034307, 0.019193562593471367, 0.7994421800633744,
+        0.06299981100056698, 0.14096416805844414, 0.0, 1_000_003, 0.1,
+    )
+
+
+def test_drift_memory_stays_at_the_sampler_peak():
+    m = _two_node(w_ij=0.5, w_ji=0.5, w_self=1.0, decay=2.0)
+    eps = 0.05
+    mc_delta_drift(m, None, 0.0, eps, 0, 1, trials=_CHUNK, seed=1)  # warm caches
+    tracemalloc.start()
+    try:
+        rng = np.random.default_rng(child_seed(1, 0))
+        _cluster(m, 0.0, 3 * eps, _CHUNK, rng, history=_resolve_prefix(m, None, 0.0))
+        bare = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mc_delta_drift(m, None, 0.0, eps, 0, 1, trials=_CHUNK, seed=1)
+        full = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full <= 1.2 * bare, (full, bare)
 
 
 def test_mc_delta_drift_matches_matrix_prediction():

@@ -311,8 +311,6 @@ def test_max_intensity_trace_hand_case():
     peak, at = max_intensity_trace(model, log)
     assert peak == pytest.approx(1.8, abs=1e-12)
     assert at == 1.0
-    with pytest.raises(ValueError):
-        max_intensity_trace(model, log, grid_step=0.0)
     # At decay 100, e^{100 (9 - 1)} overflows float64 unless the trace's
     # time blocks are short.
     fast = build_model(1, {(0, 0): 0.8}, level=1.0, decay=100.0)
@@ -324,7 +322,7 @@ def test_max_intensity_trace_empty_log():
     base = BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5, frequency=1.0)
     model = build_model(1, {}, baselines=(base,), log_slope_bound=1.05)
     log = EventLog(n=1, horizon=20.0, times=np.array([]), nodes=np.array([]))
-    peak, _ = max_intensity_trace(model, log, grid_step=0.01)
+    peak, _ = max_intensity_trace(model, log)
     assert peak == pytest.approx(1.5, abs=1e-3)
     assert max_intensity_trace(build_model(1, {}, level=2.0), log) == (2.0, 0.0)
 
