@@ -12,9 +12,7 @@ import sys
 from collections.abc import Callable
 
 from .detect import DetectorConfig, calibrate_threshold, detect, detect_subset, save_graph
-from .expectations import (
-    _PATTERNS, _resolve_prefix, mc_delta_drift, mc_indicator, within_envelope,
-)
+from .expectations import _PATTERNS, _read_histogram, _resolve_prefix, within_envelope
 from .experiments import random_model, rate_bound_check, run_trial, sweep
 from .model import load_model, validate_model
 from .simulation import EventLog, intensity, load_events, save_events, simulate
@@ -136,22 +134,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         args.usage_error(f"--time {args.time} must be nonnegative")
     failures = 0
     lam = _lam_max(model, prefix, args.time)
-    patterns = args.pattern or list(_PATTERNS)
-    for pattern in patterns:
-        report = mc_indicator(
-            model, prefix, args.time, args.epsilon, pattern,
-            args.i, args.j, args.trials, seed=args.seed,
-        )
+    reports, drift = _read_histogram(
+        model, prefix, args.time, args.epsilon, tuple(args.pattern or _PATTERNS),
+        args.drift, args.i, args.j, args.trials, args.seed,
+    )
+    for report in reports:
         ok = within_envelope(
             report, model.constants.max_degree, lam, constant=args.envelope_constant
         )
         print(("ok   " if ok else "FAIL ") + str(report))
         failures += 0 if ok else 1
-    if args.drift:
-        drift = mc_delta_drift(
-            model, prefix, args.time, args.epsilon, args.i, args.j, args.trials,
-            seed=args.seed,
-        )
+    if drift is not None:
         print(drift)
         for est, se, pred in (
             (drift.pair_estimate, drift.pair_stderr, drift.pair_predicted),
@@ -163,6 +156,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        args.usage_error(f"--n {args.n} must be at least 2")
+    if args.d >= args.n:
+        args.usage_error(f"--d {args.d} must be below --n {args.n}")
     _require_window(args, args.horizon)
     results = []
     for k in range(args.trials):
@@ -201,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a model and write an event log")
     p.add_argument("--model", required=True)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--horizon", type=_positive(float), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -243,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle, usage_error=p.error)
 
     p = sub.add_parser("experiment", help="random-model recovery trials")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_positive(int), required=True)
+    p.add_argument("--d", type=_positive(int), required=True)
     p.add_argument("--horizon", type=_positive(float), required=True)
     p.add_argument("--epsilon", type=_positive(float), required=True)
     group = p.add_mutually_exclusive_group(required=True)

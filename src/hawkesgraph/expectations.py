@@ -15,7 +15,8 @@ the pair's two nodes are binned, with the half-open rule of ``stats``.  Each
 continuation reduces to one code of 2 * bins bits, bit row * bins + bin set
 when node i (row 0) or node j (row 1) fired exactly once in that bin, and a
 run to a histogram of the 4**bins codes.  A pattern is a set of codes, so
-both estimators read their integer sums off that histogram.
+both estimators read their integer sums off that histogram, and one 3-bin
+histogram serves every pattern and both drifts at once (CLI ``oracle``).
 """
 
 from __future__ import annotations
@@ -232,6 +233,72 @@ def _frozen_intensities(
     return prefix, intensity(model, prefix, i, t), intensity(model, prefix, j, t)
 
 
+def _read_histogram(
+    model: HawkesModel,
+    prefix: EventLog | None,
+    t: float,
+    epsilon: float,
+    patterns: tuple[str, ...],
+    drift: bool,
+    i: int,
+    j: int,
+    trials: int,
+    seed: int,
+) -> tuple[list[ExpectationReport], DriftReport | None]:
+    """One report per pattern, and the drift report when ``drift`` is set,
+    all read off one code histogram: 3 bins when the drift or a triple
+    pattern is asked for, else 2."""
+    for pattern in patterns:
+        if pattern not in _PATTERNS:
+            raise ValueError(f"pattern must be one of {_PATTERNS}")
+    prefix, lam_i, lam_j = _frozen_intensities(model, prefix, t, epsilon, i, j, trials)
+    if patterns and trials < 10_000:
+        warnings.warn(
+            f"{trials} continuations give a very noisy estimate; use at least 10000",
+            UserWarning,
+            stacklevel=3,
+        )
+    node_of = {"i": i, "j": j}
+    predicted = []
+    for pattern in patterns:
+        coeff = predicted_pattern(model, {i: lam_i, j: lam_j}, tuple(node_of[ch] for ch in pattern))
+        predicted.append(epsilon ** len(pattern) * coeff)
+        if predicted[-1] >= 1.0:
+            raise ValueError(
+                f"epsilon={epsilon} is too coarse here: predicted probability {predicted[-1]:.3g}"
+            )
+    nbins = 3 if drift else max((len(p) for p in patterns), default=2)
+    counts = _code_counts(model, prefix, t, epsilon, nbins, i, j, trials, seed)
+    reports = []
+    for pattern, pred in zip(patterns, predicted):
+        hits = int(counts[_pattern_mask(pattern, nbins)].sum())
+        estimate, stderr = _mean_and_stderr(float(hits), float(hits), trials)
+        reports.append(ExpectationReport(
+            pattern=pattern, estimate=estimate, stderr=stderr, predicted=pred,
+            discrepancy=abs(estimate - pred), trials=trials, epsilon=epsilon,
+        ))
+    if not drift:
+        return reports, None
+    # the signed pair and triple counts of each code
+    on = {p: _pattern_mask(p, 3).astype(np.int64) for p in _PATTERNS}
+    d1 = on["ij"] - on["ji"]
+    d2 = on["iij"] - 2 * on["iji"] + on["jii"]
+    mean1, se1 = _mean_and_stderr(float(counts @ d1), float(counts @ (d1 * d1)), trials)
+    mean2, se2 = _mean_and_stderr(float(counts @ d2), float(counts @ (d2 * d2)), trials)
+    m, _ = drift_matrix(model, i, j)
+    drift_predicted = m @ np.array([lam_i, lam_j])
+    return reports, DriftReport(
+        pair_estimate=mean1 / epsilon**2,
+        pair_stderr=se1 / epsilon**2,
+        pair_predicted=float(drift_predicted[0]),
+        triple_estimate=mean2 / epsilon**3,
+        triple_stderr=se2 / epsilon**3,
+        triple_predicted=float(drift_predicted[1]),
+        trials=trials,
+        epsilon=epsilon,
+    )
+
+
 def mc_indicator(
     model: HawkesModel,
     prefix: EventLog | None,
@@ -250,35 +317,7 @@ def mc_indicator(
     often the pattern occurs.  The prediction is the eps-power times the
     closed-form coefficient at the frozen intensities.
     """
-    if pattern not in _PATTERNS:
-        raise ValueError(f"pattern must be one of {_PATTERNS}")
-    prefix, lam_i, lam_j = _frozen_intensities(model, prefix, t, epsilon, i, j, trials)
-    if trials < 10_000:
-        warnings.warn(
-            f"{trials} continuations give a very noisy estimate; use at least 10000",
-            UserWarning,
-            stacklevel=2,
-        )
-    nbins = len(pattern)
-    node_of = {"i": i, "j": j}
-    coeff = predicted_pattern(model, {i: lam_i, j: lam_j}, tuple(node_of[ch] for ch in pattern))
-    predicted = epsilon**nbins * coeff
-    if predicted >= 1.0:
-        raise ValueError(
-            f"epsilon={epsilon} is too coarse here: predicted probability {predicted:.3g}"
-        )
-    counts = _code_counts(model, prefix, t, epsilon, nbins, i, j, trials, seed)
-    hits = int(counts[_pattern_mask(pattern, nbins)].sum())
-    estimate, stderr = _mean_and_stderr(float(hits), float(hits), trials)
-    return ExpectationReport(
-        pattern=pattern,
-        estimate=estimate,
-        stderr=stderr,
-        predicted=predicted,
-        discrepancy=abs(estimate - predicted),
-        trials=trials,
-        epsilon=epsilon,
-    )
+    return _read_histogram(model, prefix, t, epsilon, (pattern,), False, i, j, trials, seed)[0][0]
 
 
 def mc_delta_drift(
@@ -297,23 +336,4 @@ def mc_delta_drift(
     triple counts are averaged and scaled by eps^-2 and eps^-3, then
     compared against the drift-matrix predictions at the frozen intensities.
     """
-    prefix, lam_i, lam_j = _frozen_intensities(model, prefix, t, epsilon, i, j, trials)
-    counts = _code_counts(model, prefix, t, epsilon, 3, i, j, trials, seed)
-    # the signed pair and triple counts of each code
-    on = {p: _pattern_mask(p, 3).astype(np.int64) for p in _PATTERNS}
-    d1 = on["ij"] - on["ji"]
-    d2 = on["iij"] - 2 * on["iji"] + on["jii"]
-    mean1, se1 = _mean_and_stderr(float(counts @ d1), float(counts @ (d1 * d1)), trials)
-    mean2, se2 = _mean_and_stderr(float(counts @ d2), float(counts @ (d2 * d2)), trials)
-    m, _ = drift_matrix(model, i, j)
-    predicted = m @ np.array([lam_i, lam_j])
-    return DriftReport(
-        pair_estimate=mean1 / epsilon**2,
-        pair_stderr=se1 / epsilon**2,
-        pair_predicted=float(predicted[0]),
-        triple_estimate=mean2 / epsilon**3,
-        triple_stderr=se2 / epsilon**3,
-        triple_predicted=float(predicted[1]),
-        trials=trials,
-        epsilon=epsilon,
-    )
+    return _read_histogram(model, prefix, t, epsilon, (), True, i, j, trials, seed)[1]

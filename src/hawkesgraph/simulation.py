@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import HawkesModel
+from .model import _PRUNE_LOG, HawkesModel
 
 __all__ = [
     "Event",
@@ -44,7 +44,6 @@ __all__ = [
     "child_seed",
 ]
 
-_PRUNE_LOG = 27.631021115928547  # -log(1e-12)
 _BLOCK_SPAN = 10.0  # longest time block of the peak trace
 _PEAK_GRID_STEP = 0.05  # probe spacing of the peak trace when a baseline varies
 _BLOCK_EXPONENT = 30.0  # bound on decay * block span, far below float64 overflow

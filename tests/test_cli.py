@@ -2,7 +2,10 @@ import pytest
 import yaml
 from oracles import build_model
 
-from hawkesgraph import load_events, load_graph, save_events, save_model, simulate
+from hawkesgraph import (
+    expectations, load_events, load_graph, mc_delta_drift, mc_indicator, save_events, save_model,
+    simulate,
+)
 from hawkesgraph.cli import main
 
 
@@ -213,6 +216,8 @@ _EXPERIMENT = ["experiment", "--n", "2", "--d", "1", "--no-peak"]
     (["oracle", "--trials", "0"], "'0'"),
     (["oracle", "--envelope-constant", "0"], "'0'"),
     (["oracle", "--drift", "--drift-sigma", "-1"], "'-1'"),
+    (["simulate", "--horizon", "0", "--out", "never.txt"], "'0'"),
+    (["simulate", "--horizon", "-1", "--out", "never.txt"], "'-1'"),
 ])
 def test_commands_reject_nonpositive_numbers(chain, capsys, args, named):
     _, model_path, _ = chain
@@ -223,6 +228,57 @@ def test_commands_reject_nonpositive_numbers(chain, capsys, args, named):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and named in err
+
+
+@pytest.mark.parametrize("n, d, named", [
+    ("1", "1", "--n 1"),
+    ("3", "3", "--d 3"),
+    ("3", "5", "--d 5"),
+    ("3", "0", "'0'"),
+])
+def test_experiment_rejects_node_and_degree_counts(capsys, n, d, named):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["experiment", "--n", n, "--d", d, "--horizon", "20", "--epsilon", "0.1",
+              "--threshold", "0.5", "--no-peak"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and named in err
+
+
+@pytest.mark.parametrize("patterns, drift", [
+    (["ij", "ji", "iij", "iji", "jii"], True),
+    (["ij", "ji"], False),
+])
+def test_oracle_reads_one_histogram(tmp_path, capsys, monkeypatch, patterns, drift):
+    model = build_model(2, {(0, 0): 0.5, (1, 1): 0.5, (1, 0): 0.3, (0, 1): 0.2},
+                        level=1.0, decay=2.0)
+    model_path = tmp_path / "pair.yaml"
+    save_model(model, model_path)
+    passes, draw = [], expectations._code_counts
+
+    def counted(*args):
+        passes.append(args[4])  # the histogram's bin count
+        return draw(*args)
+
+    monkeypatch.setattr(expectations, "_code_counts", counted)
+    argv = ["oracle", "--model", str(model_path), "--epsilon", "0.05",
+            "--trials", "20000", "--seed", "3"]
+    for pattern in patterns:
+        argv += ["--pattern", pattern]
+    main(argv + (["--drift"] if drift else []))
+    printed = capsys.readouterr().out.splitlines()
+    assert passes == [3 if drift else 2]
+    # Patterns drawn over as many bins as the histogram has print exactly
+    # what the library estimators report for them.
+    expected = {
+        p: str(mc_indicator(model, None, 0.0, 0.05, p, 0, 1, 20000, seed=3))
+        for p in patterns if len(p) == passes[0]
+    }
+    lines = {line[5:].split()[0]: line[5:] for line in printed[:len(patterns)]}
+    assert [lines[p] for p in expected] == list(expected.values())
+    if drift:
+        assert printed[len(patterns):] == str(
+            mc_delta_drift(model, None, 0.0, 0.05, 0, 1, 20000, seed=3)).splitlines()
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hawkesgraph import (
     true_graph,
     validate_model,
 )
+from hawkesgraph.model import _kernel_supremum
 from oracles import build_model, plain_constants
 
 
@@ -333,7 +338,10 @@ def test_smoothness_margin_is_the_sinusoidal_supremum():
 
 def test_modulated_stability_margin_is_pinned():
     # n = 10 directed ring with sinusoidal baselines and a modulated default
-    # kernel; its stability check scans about 49 quadrature probe times.
+    # kernel.  Every row is 0.6 + 0.4 times the kernel's supremum, which a
+    # dense scan (step 2e-4 over [0, reach + period]) puts at 0.470468878254
+    # near t = 18.05.  Past the reach the integral repeats with period 2 pi,
+    # so the horizon adds nothing past reach + period.
     n = 10
     baselines = tuple(
         BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5,
@@ -356,8 +364,71 @@ def test_modulated_stability_margin_is_pinned():
     report = validate_model(m, horizon=400.0)
     assert report.passed
     stability = _check(report, "stability")
-    assert stability.margin == pytest.approx(0.12957502789506092, rel=1e-12)
-    assert stability.worst == "row 0, t=307.1"
+    assert stability.margin == pytest.approx(0.6 - 0.470468878254, abs=1e-9)
+    assert stability.worst == "row 0"
+
+
+_ACCURACY_KERNELS = [(2.0, 1.5, 1.3), (3.0, 1.0, 1.0), (1.0, 0.9, 0.05)]
+
+
+@pytest.mark.parametrize("decay, amplitude, frequency", _ACCURACY_KERNELS)
+def test_modulated_integral_matches_quadrature_at_long_horizons(decay, amplitude, frequency):
+    k = KernelSpec(family="modulated", decay=decay, decay_amplitude=amplitude,
+                   decay_frequency=frequency)
+    reach = -math.log(1e-12) / k.rate_floor()
+    ts = np.array([0.0, 0.7, 13.0, 97.3, 400.0, 1000.0])
+    got = k.integral(ts)
+    assert got.shape == ts.shape and got[0] == 0.0
+    for t, value in zip(ts, got):
+        # quad on short pieces of the window, so no piece nears its subdivision limit
+        edges = np.linspace(max(0.0, t - reach), t, 200)
+        expected = sum(quad(lambda x: k.value(t, x), a, b, epsabs=1e-15)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+        assert value == pytest.approx(expected, abs=1e-11)
+        assert k.integral(float(t)) == pytest.approx(value, abs=1e-14)
+
+
+@pytest.mark.parametrize("decay, amplitude, frequency, horizon", [
+    (2.0, 1.5, 1.3, 20.0),  # several coarse local maxima of nearly equal height
+    (1.0, 0.9, 0.05, 50.0),
+])
+def test_modulated_supremum_matches_a_dense_scan(decay, amplitude, frequency, horizon):
+    k = KernelSpec(family="modulated", decay=decay, decay_amplitude=amplitude,
+                   decay_frequency=frequency)
+    end = min(horizon, -math.log(1e-12) / k.rate_floor() + 2 * math.pi / frequency)
+    grid = np.linspace(0.0, end, math.ceil(end / 2e-3) + 1)
+    top = grid[np.argmax(k.integral(grid))]
+    fine = np.clip(np.linspace(top - 2e-3, top + 2e-3, 4001), 0.0, end)  # step 1e-6
+    dense = k.integral(fine).max()
+    sup = _kernel_supremum(k, horizon)
+    assert sup == pytest.approx(dense, abs=1e-8) and sup >= dense - 1e-12
+
+
+# (1, 0.9, 3) oscillates fast enough that adaptive quadrature over [0, t]
+# runs out of subdivisions at these horizons.
+@pytest.mark.parametrize("horizon", [400.0, 1000.0])
+@pytest.mark.parametrize("decay, amplitude, frequency", _ACCURACY_KERNELS + [(1.0, 0.9, 3.0)])
+def test_modulated_stability_check_warns_at_no_horizon(decay, amplitude, frequency, horizon):
+    kernel = KernelSpec(family="modulated", decay=decay, decay_amplitude=amplitude,
+                        decay_frequency=frequency)
+    m = HawkesModel(
+        n=2, weights={(0, 0): 0.02, (1, 1): 0.02, (1, 0): 0.01},
+        baselines=(BaselineSpec(family="constant", level=1.0),) * 2, default_kernel=kernel,
+        constants=plain_constants(kernel_mass_bound=kernel.mass_bound(), stability_slack=0.5),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stability = _check(validate_model(m, horizon), "stability")
+    assert stability.passed
+    assert stability.margin == pytest.approx(0.5 - 0.03 * _kernel_supremum(kernel, horizon))
+
+
+def test_package_imports_no_scipy():
+    code = ("import sys, hawkesgraph, hawkesgraph.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 # --- model files -------------------------------------------------------------
