@@ -36,6 +36,7 @@ _BASELINE_FAMILIES = ("constant", "sinusoidal")
 _KERNEL_FAMILIES = ("exponential", "modulated")
 _PRUNE_LOG = 27.631021115928547  # -log(1e-12): kernel values below 1e-12 are dropped
 _gauss_legendre = cache(lambda: np.polynomial.legendre.leggauss(16))  # on [-1, 1]
+_MAX_PANELS = 1 << 14  # 2^18 Gauss-Legendre nodes: a kernel supremum then takes seconds at most
 
 
 @dataclass(frozen=True)
@@ -133,33 +134,36 @@ class KernelSpec:
         return np.exp(-self.rate(s) * (np.asarray(t) - np.asarray(s)))
 
     def integral(self, t, lower: float = 0.0):
-        """integral of phi(t, x) dx over x in [lower, t], for scalar or array t.
+        """integral of phi(t, x) dx over x in [lower, t].
 
-        Closed form for the exponential family.  The modulated phi is below 1e-12
+        Closed form for the exponential family, whose t is a scalar.  The
+        modulated family takes a scalar or an array t.  Its phi is below 1e-12
         past the age reach = -log(1e-12) / rate_floor, so a composite 16-point
         Gauss-Legendre rule covers [max(lower, t - reach), t] only, in panels at
         most 12 times the integrand's shortest scale: 1/rate_cap, 1/|decay_frequency|
         or 1/(|decay_frequency| sqrt(|decay_amplitude| reach)), its bump at a rate minimum.
+        A kernel that needs more than _MAX_PANELS panels raises ValueError.
         """
-        if self.family == "exponential" and isinstance(t, (int, float)):  # no numpy call
+        if self.family == "exponential":
             if not 0.0 <= lower <= t:
                 raise ValueError("integral needs 0 <= lower <= t")
             return (1.0 - math.exp(-self.decay * (t - lower))) / self.decay
         t = np.asarray(t, dtype=float)
         if lower < 0.0 or (t < lower).any():
             raise ValueError("integral needs 0 <= lower <= t")
-        if self.family == "exponential":
-            return (1.0 - np.exp(-self.decay * (t - lower))) / self.decay
         reach = _PRUNE_LOG / self.rate_floor()
         scale = self.rate_cap() + abs(self.decay_frequency) * (
             1.0 + math.sqrt(abs(self.decay_amplitude) * reach))
         panels = math.ceil(reach * scale / 12.0)
+        if panels > _MAX_PANELS:
+            raise ValueError(f"{self} needs {panels} quadrature panels, over the limit "
+                             f"{_MAX_PANELS}: raise decay - |decay_amplitude| or lower decay_frequency")
         nodes, weights = _gauss_legendre()
         ages = ((np.arange(panels)[:, None] + (nodes + 1.0) / 2.0) / panels).ravel()
         weights = np.tile(weights, panels) / (2.0 * panels)
         ends, width = t.ravel(), np.minimum(t - lower, reach).ravel()
         out = np.empty(ends.size)
-        rows = max(1, (1 << 20) // ages.size)  # about 8 MB of integrand values at once
+        rows = (1 << 20) // ages.size  # arrays of at most 2^20 values (8 MB) at once
         for a in range(0, ends.size, rows):  # age u = t - x spans each window in panels
             u = width[a:a + rows, None] * ages
             out[a:a + rows] = np.exp(-self.rate(ends[a:a + rows, None] - u) * u) @ weights
@@ -326,7 +330,10 @@ class DependencyGraph:
 
 def true_graph(model: HawkesModel) -> DependencyGraph:
     """Dependency graph of the model: {i, j} iff w_ij > 0 or w_ji > 0."""
-    edges = {(min(i, j), max(i, j)) for (i, j), w in model.weights.items() if i != j and w > 0}
+    edges = set()
+    for (i, j), w in model.weights.items():
+        if i != j and w > 0:
+            edges.add((min(i, j), max(i, j)))
     return DependencyGraph(model.n, frozenset(edges))
 
 
@@ -372,20 +379,21 @@ def _check_baseline_floor(model: HawkesModel) -> AssumptionCheck:
 def _kernel_supremum(spec: KernelSpec, horizon: float) -> float:
     """sup of spec.integral(t) over 0 <= t <= horizon.
 
-    The exponential integral grows with t.  The modulated I(t + period) >= I(t)
+    The integral grows with t when the rate is constant: an exponential kernel,
+    or a modulated one with decay_frequency 0.  Otherwise I(t + period) >= I(t)
     (the window gains event times, the rate repeats), so probes at most
     min(period / 64, 1 / (4 rate_cap)) apart scan [max(0, horizon - period),
     horizon], and 9-probe grids, each a quarter as wide, refine every local maximum.
     """
-    if spec.family == "exponential":
+    if spec.family == "exponential" or spec.decay_frequency == 0:
         return spec.integral(horizon)
-    period = 2.0 * math.pi / abs(spec.decay_frequency) if spec.decay_frequency else math.inf
+    period = 2.0 * math.pi / abs(spec.decay_frequency)
     start = max(0.0, horizon - period)
     probes = max(2, math.ceil((horizon - start) * max(64.0 / period, 4.0 * spec.rate_cap())) + 1)
     t = np.linspace(start, horizon, probes)
     values = spec.integral(t)
     padded = np.concatenate(([-math.inf], values, [-math.inf]))
-    peak = (values >= padded[:-2]) & (values >= padded[2:])
+    peak = (values > padded[:-2]) & (values >= padded[2:])  # a plateau counts once
     centers, values, h = t[peak], values[peak, None], t[1] - t[0]
     while h > 1e-7:
         h /= 4.0
@@ -403,13 +411,14 @@ def _check_stability(model: HawkesModel, horizon: float) -> AssumptionCheck:
         sums[i] += w * sup[model.kernel(i, j)]
     i = int(np.argmax(sums))
     worst_sum, worst_where = float(sums[i]), f"row {i}"
-    heavy = [k.mass_bound() for k in model.distinct_kernels
-             if k.mass_bound() > model.constants.kernel_mass_bound + 1e-12]
-    if heavy:
-        worst_where = f"kernel mass bound {heavy[-1]:.4g}"
+    mass_ok = True
+    for spec in model.distinct_kernels:
+        if spec.mass_bound() > model.constants.kernel_mass_bound + 1e-12:
+            mass_ok = False
+            worst_where = f"kernel mass bound {spec.mass_bound():.4g}"
     margin = limit - worst_sum
     return AssumptionCheck(
-        "stability", margin >= 0 and not heavy, margin, worst_where,
+        "stability", margin >= 0 and mass_ok, margin, worst_where,
         f"max row excitation mass {worst_sum:.6g} vs limit {limit:.6g}",
     )
 
@@ -484,14 +493,19 @@ def validate_model(model: HawkesModel, horizon: float) -> ValidationReport:
     all time.  Stability bounds each row's excitation mass over [0, horizon]
     by sum_j w_ij sup_t I_ij(t), one supremum per distinct kernel: the row's
     supremum when it uses one kernel, an upper bound when kernels mix.
-    Violations are reported, not raised; callers decide what they mean.
+    Violations are reported, not raised; callers decide what they mean.  A
+    modulated kernel past KernelSpec.integral's panel limit raises ValueError.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    return ValidationReport((
-        _check_baseline_floor(model), _check_stability(model, horizon), _check_smoothness(model),
-        _check_weight_bounds(model), _check_sparsity(model),
-    ))
+    checks = (
+        _check_baseline_floor(model),
+        _check_stability(model, horizon),
+        _check_smoothness(model),
+        _check_weight_bounds(model),
+        _check_sparsity(model),
+    )
+    return ValidationReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +522,13 @@ def _baseline_to_dict(spec: BaselineSpec) -> dict:
 
 
 def _baseline_from_dict(raw: Mapping) -> BaselineSpec:
-    return BaselineSpec(raw["family"], float(raw["level"]), *(
-        float(raw.get(name, 0.0)) for name in ("amplitude", "frequency", "phase")))
+    return BaselineSpec(
+        family=raw["family"],
+        level=float(raw["level"]),
+        amplitude=float(raw.get("amplitude", 0.0)),
+        frequency=float(raw.get("frequency", 0.0)),
+        phase=float(raw.get("phase", 0.0)),
+    )
 
 
 def _kernel_to_dict(spec: KernelSpec) -> dict:
@@ -520,8 +539,12 @@ def _kernel_to_dict(spec: KernelSpec) -> dict:
 
 
 def _kernel_from_dict(raw: Mapping) -> KernelSpec:
-    return KernelSpec(raw["family"], float(raw["decay"]), *(
-        float(raw.get(name, 0.0)) for name in ("decay_amplitude", "decay_frequency")))
+    return KernelSpec(
+        family=raw["family"],
+        decay=float(raw["decay"]),
+        decay_amplitude=float(raw.get("decay_amplitude", 0.0)),
+        decay_frequency=float(raw.get("decay_frequency", 0.0)),
+    )
 
 
 def save_model(model: HawkesModel, path: str) -> None:
@@ -565,5 +588,11 @@ def load_model(path: str) -> HawkesModel:
         default_kernel = _kernel_from_dict(doc["default_kernel"])
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks {exc.args[0]!r}") from exc
-    return HawkesModel(n=n, weights=weights, baselines=baselines, default_kernel=default_kernel,
-                       constants=constants, kernel_overrides=overrides)
+    return HawkesModel(
+        n=n,
+        weights=weights,
+        baselines=baselines,
+        default_kernel=default_kernel,
+        constants=constants,
+        kernel_overrides=overrides,
+    )

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -421,6 +422,48 @@ def test_modulated_stability_check_warns_at_no_horizon(decay, amplitude, frequen
         stability = _check(validate_model(m, horizon), "stability")
     assert stability.passed
     assert stability.margin == pytest.approx(0.5 - 0.03 * _kernel_supremum(kernel, horizon))
+
+
+def test_slow_fast_modulated_integral_stays_in_bounded_memory():
+    # Rate floor 0.02 (reach about 1382) and frequency 2 need 8,937 panels of
+    # 16 nodes, so 60 times need 8.6M integrand values; they are taken 2^20 at a time.
+    k = KernelSpec(family="modulated", decay=1.0, decay_amplitude=0.98, decay_frequency=2.0)
+    reach = -math.log(1e-12) / k.rate_floor()
+    ts = np.repeat([1500.0, 3001.3], 30)
+    tracemalloc.start()
+    try:
+        got = k.integral(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    for t, value in zip(ts[::30], got[::30]):
+        edges = np.linspace(t - reach, t, 400)
+        expected = sum(quad(lambda x: k.value(t, x), a, b, epsabs=1e-15)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+        assert value == pytest.approx(expected, abs=1e-11)
+
+
+def test_modulated_kernel_past_the_panel_limit_is_rejected():
+    # Rate floor 0.01 and frequency 20: 245,922 panels, over the limit.
+    kernel = KernelSpec(family="modulated", decay=1.0, decay_amplitude=0.99, decay_frequency=20.0)
+    m = HawkesModel(
+        n=1, weights={(0, 0): 0.001}, baselines=(BaselineSpec(family="constant", level=1.0),),
+        default_kernel=kernel, constants=plain_constants(kernel_mass_bound=kernel.mass_bound()),
+    )
+    with pytest.raises(ValueError, match="245922 quadrature panels"):
+        kernel.integral(5.0)
+    with pytest.raises(ValueError, match="quadrature panels"):
+        validate_model(m, 100.0)
+
+
+def test_modulated_kernel_without_frequency_peaks_at_the_horizon():
+    # decay_frequency 0 leaves the rate at decay, so the integral is the
+    # exponential closed form and grows with t.
+    k = KernelSpec(family="modulated", decay=2.0, decay_amplitude=1.5, decay_frequency=0.0)
+    for horizon in (0.3, 50.0, 400.0):
+        expected = (1.0 - math.exp(-2.0 * horizon)) / 2.0
+        assert _kernel_supremum(k, horizon) == pytest.approx(expected, abs=1e-12)
 
 
 def test_package_imports_no_scipy():
