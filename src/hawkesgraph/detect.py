@@ -23,7 +23,16 @@ import numpy as np
 
 from .model import DependencyGraph
 from .simulation import EventLog
-from .stats import PairTable, _pack, _sums, accumulate_all, bin_events, window_count
+from .stats import (
+    _BLOCK_BYTES,
+    PairTable,
+    _pack,
+    _pair,
+    _triple,
+    accumulate_all,
+    bin_events,
+    window_count,
+)
 
 __all__ = [
     "DetectorConfig",
@@ -175,11 +184,15 @@ def calibrate_threshold(
     two orderings separately would let each cross it at that rate, nearly
     doubling the false-edge rate.)
 
-    The log is packed once.  Surrogate k packs only its shifted node's events
-    into row k of one (3, n_surrogates, words) block, and every surrogate is
-    scored at once against every node's unchanged packed rows, with the same
-    popcount kernel as ``accumulate_all``; the scores equal those of packing
-    the whole shifted log.
+    The log is packed once.  Each surrogate's shifted events are gathered,
+    with no loop over surrogates, and packed into its row k of one
+    (3, n_surrogates, words) block: consecutive surrogates share one
+    ``_pack`` call as long as their events total at most max(events in the
+    log, _BLOCK_BYTES / 64), so a group's packing stays within about twice
+    the log's memory.  Every surrogate is then scored at once against every
+    node's unchanged packed rows, with the same popcount kernel as
+    ``accumulate_all``; the scores equal those of packing the whole shifted
+    log.
     """
     if not 0 < quantile < 1:
         raise ValueError("quantile must lie in (0, 1)")
@@ -195,15 +208,46 @@ def calibrate_threshold(
     offsets = np.random.default_rng(seed).uniform(0.0, log.horizon, size=n_surrogates)
     shifted_node = np.arange(n_surrogates) % log.n
     block = np.empty((3, n_surrogates, occupancy.shape[2]), dtype=np.uint64)
-    for k, node in enumerate(shifted_node):
-        shifted = np.mod(log.times[log.nodes == node] + offsets[k], log.horizon)
-        block[:, k : k + 1] = _pack(
-            shifted, np.zeros(len(shifted), dtype=np.int64), 1, epsilon, log.horizon
-        )
-    as_i = _scores(*_sums(block, occupancy), epsilon, log.horizon, use_triples)
-    as_j = _scores(*_sums(occupancy, block), epsilon, log.horizon, use_triples).T
+    ends = np.cumsum(log.counts()[shifted_node])
+    cap = max(len(log), _BLOCK_BYTES // 64)
+    lo = 0
+    while lo < n_surrogates:
+        # no surrogate holds more than len(log) <= cap events, so hi > lo
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + cap, side="right"))
+        times, rows = _shifted_events(log, offsets[lo:hi], lo)
+        block[:, lo:hi] = _pack(times, rows, hi - lo, epsilon, log.horizon)
+        del times, rows  # before the next group is gathered, or scoring
+        lo = hi
+    pair = _pair(block, occupancy)
+    as_i = _scores(pair, _triple(block, occupancy), epsilon, log.horizon, use_triples)
+    # the j-ordering's pair sum is the negated i-ordering's: same magnitude
+    as_j = _scores(pair, _triple(occupancy, block).T, epsilon, log.horizon, use_triples)
     others = np.arange(log.n) != shifted_node[:, None]
     return float(np.quantile(np.maximum(as_i, as_j)[others], quantile))
+
+
+def _shifted_events(
+    log: EventLog, offsets: np.ndarray, lo: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and rows of surrogates lo, lo + 1, ... for ``_pack``: surrogate
+    lo + r shifts node (lo + r) % n by offsets[r] and owns row r."""
+    n, horizon = log.n, log.horizon
+    first = (np.arange(n) - lo) % n  # row of the first surrogate shifting each node
+    copies = np.bincount(np.arange(lo, lo + len(offsets)) % n, minlength=n)[log.nodes]
+    # the copies of an event sit together from position start on, and copy c
+    # of an event of node v goes to row first[v] + n * c
+    start = np.cumsum(copies) - copies
+    rows = np.repeat(first[log.nodes] - n * start, copies)
+    del start
+    rows += np.arange(0, n * len(rows), n)
+    times = np.repeat(log.times, copies)
+    times += offsets[rows]
+    # times lie in [0, T] and offsets in [0, T), so a sum lies in [0, 2T] and
+    # subtracting T from it is exact (Sterbenz): this is np.mod without its
+    # division, and a sum rounded up to 2T wraps to 0 as it does under np.mod
+    times -= (times >= horizon) * horizon
+    times[times == horizon] = 0.0
+    return times, rows
 
 
 def suggest_epsilon(log: EventLog, occupancy: float = 0.05) -> float:

@@ -72,20 +72,21 @@ class EventLog:
     fingerprint: str | None = None
 
     def __post_init__(self) -> None:
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
-        nodes = np.ascontiguousarray(self.nodes, dtype=np.int64)
+        times = np.array(self.times, dtype=np.float64)
+        nodes = np.array(self.nodes, dtype=np.int64)
         if times.shape != nodes.shape or times.ndim != 1:
             raise ValueError("times and nodes must be matching 1-d arrays")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if times.size:
-            if times.min() < 0 or times.max() > self.horizon:
+            if not (times.min() >= 0 and times.max() <= self.horizon):  # NaN fails too
                 raise ValueError("event times must lie in [0, horizon]")
             if nodes.min() < 0 or nodes.max() >= self.n:
                 raise ValueError("node indices out of range")
-            order = np.lexsort((nodes, times))
-            times = times[order]
-            nodes = nodes[order]
+            if not _in_order(times, nodes):
+                order = np.lexsort((nodes, times))
+                times = times[order]
+                nodes = nodes[order]
         times.flags.writeable = False
         nodes.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -112,6 +113,12 @@ class EventLog:
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.nodes, other.nodes)
         )
+
+
+def _in_order(times: np.ndarray, nodes: np.ndarray) -> bool:
+    """Whether events are sorted by time, ties broken by node index."""
+    step = np.diff(times)
+    return not np.any((step < 0) | ((step == 0) & (np.diff(nodes) < 0)))
 
 
 def _edges(model: HawkesModel) -> tuple[np.ndarray, ...]:
@@ -384,8 +391,7 @@ def load_events(path: str) -> EventLog:
     else:
         rows = np.empty(0, dtype=_EVENT_ROW)
     times, nodes = rows["time"], rows["node"]
-    step = np.diff(times)
-    if np.any((step < 0) | ((step == 0) & (np.diff(nodes) < 0))):
+    if not _in_order(times, nodes):
         raise ValueError(f"{path} is not sorted by (time, node)")
     seed = None if fields["seed"] == "none" else int(fields["seed"])
     fp = None if fields["model"] == "none" else fields["model"]

@@ -23,8 +23,11 @@ words, so that
   triple = C(B0&B1, B2) - 2*C(B0&B2, B1) + C(B1&B2, B0).
 
 The packed grid of an n-node log holds 3 * n * ceil(W / 64) words, a block
-of S calibration surrogates 3 * S * ceil(W / 64), and packing adds a few
-int64 arrays of one entry per event; nothing of size (rows, bins) is built.
+of S calibration surrogates 3 * S * ceil(W / 64); nothing of size (rows,
+bins) is built.  Packing adds at most three int64 arrays of one entry per
+event.  Calibration packs its surrogates in groups of at most max(events in
+the log, _BLOCK_BYTES / 64) gathered events, each group with its shifted
+times and rows alive, so its peak stays within about twice the packed log's.
 C is evaluated in blocks of x-rows whose (rows, rows of y, words) uint64
 intermediate stays within _BLOCK_BYTES (16 MiB), or one row at a time when a
 single row exceeds it.  With its uint8 popcounts a block holds at most
@@ -114,14 +117,25 @@ def _pack(
     0, 1, 2, for events at times on rows in [0, n_rows)."""
     w = window_count(horizon, epsilon)
     occ = np.zeros((3, n_rows, -(-w // 64)), dtype=np.uint64)
-    keys = _bin_index(times, epsilon, bin_count(horizon, epsilon)) * n_rows + rows
-    keys, hits = np.unique(keys, return_counts=True)
-    # keep the (bin, row) keys of exactly one event whose bin lies in a
-    # complete window, i.e. bin < 3w
-    window, rest = np.divmod(keys[(hits == 1) & (keys < 3 * w * n_rows)], 3 * n_rows)
-    offset, row = np.divmod(rest, n_rows)
-    bit = np.left_shift(np.uint64(1), (window % 64).astype(np.uint64))
-    np.bitwise_or.at(occ, (offset, row, window // 64), bit)
+    keys = _bin_index(times, epsilon, bin_count(horizon, epsilon))
+    keys *= n_rows
+    keys += rows
+    keys.sort()
+    # keep the (bin, row) keys held by exactly one event whose bin lies in a
+    # complete window, i.e. bin < 3w: sorted, such a key differs from both
+    # of its neighbours
+    keys = keys[: np.searchsorted(keys, 3 * w * n_rows)]
+    fresh = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:-1])
+    single = keys[fresh[:-1] & fresh[1:]]
+    del keys, fresh  # free each per-event array as soon as it is spent
+    window, plane_row = np.divmod(single, 3 * n_rows)
+    del single
+    bit = window.astype(np.uint64)
+    bit &= np.uint64(63)
+    np.left_shift(np.uint64(1), bit, out=bit)
+    window >>= 6
+    np.bitwise_or.at(occ.reshape(3 * n_rows, -1), (plane_row, window), bit)
     return occ
 
 
@@ -217,19 +231,27 @@ def _cooccur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sums(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, triple) window sums of every row of the packed occupancy x as
-    i against every row of y as j; both have shape (rows of x, rows of y)."""
+def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pair window sums of every row of the packed occupancy x as i against
+    every row of y as j, shape (rows of x, rows of y).  Swapping x and y
+    gives the negated transpose."""
+    return _cooccur(x[0], y[1]) - _cooccur(x[1], y[0])
+
+
+def _triple(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Triple window sums of every row of x as i against every row of y as j."""
     x0, x1, x2 = x
     y0, y1, y2 = y
-    pair = _cooccur(x0, y1) - _cooccur(x1, y0)
-    triple = _cooccur(x0 & x1, y2) - 2 * _cooccur(x0 & x2, y1) + _cooccur(x1 & x2, y0)
-    return pair, triple
+    return _cooccur(x0 & x1, y2) - 2 * _cooccur(x0 & x2, y1) + _cooccur(x1 & x2, y0)
 
 
 def accumulate_all(grid: BinGrid) -> PairTable:
     """Window sums for every ordered pair from one pass of the packed kernel."""
-    pair, triple = _sums(grid.occupancy, grid.occupancy)
+    occ = grid.occupancy
+    # C(B1, B0) is the transpose of C(B0, B1), so the pair term takes one call
+    forward = _cooccur(occ[0], occ[1])
+    pair = forward - forward.T
+    triple = _triple(occ, occ)
     return PairTable(
         pair=pair,
         triple=triple,

@@ -86,6 +86,32 @@ def reference_calibration(
     return float(np.quantile(np.array(scores), quantile))
 
 
+def reference_weight_bounds(model: HawkesModel) -> tuple[float, str]:
+    """(margin, worst) of the weight-bounds check from a loop over every
+    ordered pair: per target i its self-weight, then per source j != i the
+    floor and cap margins of a nonzero weight and the self gap.  A margin
+    replaces the worst only when strictly smaller, so the first of equal
+    margins names the worst, and a NaN margin never does."""
+    c = model.constants
+    worst_margin, worst_where = math.inf, "none"
+    for i in range(model.n):
+        w_self = model.weight(i, i)
+        candidates = [(w_self, f"self-weight ({i},{i})" if w_self <= 0
+                       else f"self-weight ({i},{i}) positivity")]
+        for j in range(model.n):
+            if j == i:
+                continue
+            w = model.weight(i, j)
+            if w > 0:
+                candidates.append((w - c.weight_floor, f"({i},{j}) below weight floor"))
+                candidates.append((c.weight_cap - w, f"({i},{j}) above weight cap"))
+            candidates.append((w_self - w - c.self_gap, f"self gap at ({i},{j})"))
+        for margin, where in candidates:
+            if margin < worst_margin:
+                worst_margin, worst_where = margin, where
+    return worst_margin, worst_where
+
+
 def _baseline_integral(spec: BaselineSpec, a: float, b: float) -> float:
     """Integral of the baseline rate over [a, b], in closed form."""
     if spec.family == "constant":

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -145,7 +146,7 @@ def test_calibrate_threshold_validation():
 
 
 @pytest.mark.parametrize("use_triples", [True, False])
-def test_calibrate_threshold_equals_reference(use_triples):
+def test_calibrate_threshold_equals_reference(use_triples, monkeypatch):
     model = build_model(3, {(1, 0): 0.6, (0, 0): 0.5, (1, 1): 0.5, (2, 2): 0.5}, decay=2.0)
     log = simulate(model, 60.0, seed=2)
     # 200 windows: several packed words per node; 11 surrogates cycle
@@ -154,12 +155,66 @@ def test_calibrate_threshold_equals_reference(use_triples):
         got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=quantile, seed=3,
                                   use_triples=use_triples)
         assert got == reference_calibration(log, 0.1, 11, quantile, 3, use_triples)
-    # a silent fourth node shifts into an all-zero surrogate row
+    # a silent fourth node shifts into an all-zero surrogate row; fewer
+    # surrogates than nodes, a multiple of the node count, and neither
     silent = EventLog(n=4, horizon=log.horizon, times=log.times, nodes=log.nodes)
-    for n_surrogates in (1, 9):
+    for n_surrogates in (1, 3, 8, 9):
         got = calibrate_threshold(silent, 0.1, n_surrogates=n_surrogates, quantile=0.9, seed=5,
                                   use_triples=use_triples)
         assert got == reference_calibration(silent, 0.1, n_surrogates, 0.9, 5, use_triples)
+    # a budget of 1.5 logs' worth of events packs the surrogates in several
+    # groups, not all starting at node 0, which must score as one pass does
+    detect_module = importlib.import_module("hawkesgraph.detect")
+    group_sizes = []
+    pack = detect_module._pack
+
+    def counted(times, rows, n_rows, *args):
+        group_sizes.append(n_rows)
+        return pack(times, rows, n_rows, *args)
+
+    monkeypatch.setattr(detect_module, "_pack", counted)
+    monkeypatch.setattr(detect_module, "_BLOCK_BYTES", 64 * (3 * len(log) // 2))
+    got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=0.9, seed=3,
+                              use_triples=use_triples)
+    starts = np.cumsum(group_sizes) - group_sizes
+    assert sum(group_sizes) == 11 and len(starts) > 2 and np.any(starts % 3)
+    assert got == reference_calibration(log, 0.1, 11, 0.9, 3, use_triples)
+    # node 0's event at T - offset lands exactly on T under surrogate 0's
+    # shift and wraps to bin 0, next to node 1's event in bin 1; left at T
+    # it would sit in the last bin and the pair would score 0
+    offset = np.random.default_rng(4).uniform(0.0, 0.9, size=1)[0]
+    edge = EventLog(n=2, horizon=0.9, times=np.array([0.9 - offset, 0.15]),
+                    nodes=np.array([0, 1]))
+    assert edge.times_of(0)[0] + offset == 0.9
+    got = calibrate_threshold(edge, 0.1, n_surrogates=1, quantile=0.5, seed=4,
+                              use_triples=use_triples)
+    assert got > 0 and got == reference_calibration(edge, 0.1, 1, 0.5, 4, use_triples)
+    # a sum that rounds up to 2T wraps to 0 too, as under np.mod
+    near = np.nextafter(1.0, 0.0)
+    assert 1.0 + near == 2.0
+    edge = EventLog(n=2, horizon=1.0, times=np.array([0.0, 0.5, 1.0]), nodes=np.array([0, 1, 0]))
+    times, rows = detect_module._shifted_events(edge, np.array([near]), 0)
+    assert times.tolist() == [near, 0.0] and rows.tolist() == [0, 0]
+
+
+def test_calibration_gathers_surrogates_in_bounded_groups(monkeypatch):
+    # 8 surrogates of a 2-node, 300k-event log gather 1.2M events: packed in
+    # one go they would take about 49 MB, in groups of at most one log's
+    # worth about 13 MB
+    rng = np.random.default_rng(43)
+    size = 300_000
+    log = EventLog(n=2, horizon=3000.0, times=np.sort(rng.uniform(0.0, 3000.0, size)),
+                   nodes=rng.integers(0, 2, size))
+    tracemalloc.start()
+    try:
+        grouped = calibrate_threshold(log, 0.01, n_surrogates=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000_000
+    detect_module = importlib.import_module("hawkesgraph.detect")
+    monkeypatch.setattr(detect_module, "_BLOCK_BYTES", 1 << 40)
+    assert calibrate_threshold(log, 0.01, n_surrogates=8) == grouped
 
 
 def test_packed_statistics_memory_is_bounded():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,8 +21,8 @@ from hawkesgraph import (
     true_graph,
     validate_model,
 )
-from hawkesgraph.model import _kernel_supremum
-from oracles import build_model, plain_constants
+from hawkesgraph.model import _check_weight_bounds, _kernel_supremum
+from oracles import build_model, plain_constants, reference_weight_bounds
 
 
 def test_constant_baseline():
@@ -279,6 +280,32 @@ def test_validate_flags_weight_bounds():
         self_gap=0.1, stability_slack=0.3,
     )
     _single_failure(gap_violated, "weight-bounds")
+
+
+def test_weight_bounds_match_the_pairwise_loop():
+    # weights and bounds drawn from a few values make many margins equal, so
+    # the first of equal margins, in the loop's order, must name the worst
+    rng = np.random.default_rng(17)
+    values = (0.05, 0.4, 0.8, 1.2, 2.0)
+    cases = []
+    for k in range(150):
+        n = (1, 2, 3, 7, 30)[k % 5]
+        weights = {(i, j): float(rng.choice(values)) for i in range(n) for j in range(n)
+                   if rng.random() < (0.9 if i == j else min(1.0, 3.0 / n))}
+        cases.append(build_model(n, weights, weight_floor=float(rng.choice(values[:2])),
+                                 weight_cap=float(rng.choice(values[2:])),
+                                 self_gap=float(rng.choice(values[:2]))))
+    cases.append(build_model(2, {(0, 1): 0.4}, weight_floor=float("nan")))
+    cases.append(build_model(1, {}))
+    cases.append(build_model(1, {(0, 0): float("nan")}))
+    worst = set()
+    for model in cases:
+        check = _check_weight_bounds(model)
+        assert (check.margin, check.worst) == reference_weight_bounds(model)
+        worst.add(re.sub(r"\d", "", check.worst))
+    # every kind of margin was the worst somewhere
+    assert worst >= {"self-weight (,) positivity", "self-weight (,)", "self gap at (,)",
+                     "(,) below weight floor", "(,) above weight cap", "none"}
 
 
 def test_validate_flags_sparsity():

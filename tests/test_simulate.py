@@ -42,6 +42,30 @@ def test_event_log_sorts_and_freezes():
         log.times[0] = 0.0
 
 
+def test_event_log_stores_ordered_and_unordered_input_alike():
+    rng = np.random.default_rng(5)
+    times = np.round(rng.uniform(0.0, 10.0, 500), 1)  # many time ties
+    nodes = rng.integers(0, 4, 500)
+    shuffled = EventLog(n=4, horizon=10.0, times=times, nodes=nodes)
+    order = np.lexsort((nodes, times))
+    assert np.any(order != np.arange(order.size))
+    sorted_times = np.repeat(times[order], 2)[::2]  # strided view
+    sorted_nodes = nodes[order].astype(np.int32)
+    in_order = EventLog(n=4, horizon=10.0, times=sorted_times, nodes=sorted_nodes)
+    for log in (shuffled, in_order):
+        assert log.times.tolist() == times[order].tolist()
+        assert log.nodes.tolist() == nodes[order].tolist()
+        for stored in (log.times, log.nodes):
+            assert stored.dtype.itemsize == 8 and stored.flags.c_contiguous
+            assert not stored.flags.writeable
+    # input already in order is copied, not frozen or shared
+    assert sorted_nodes.flags.writeable and sorted_times.base.flags.writeable
+    assert not np.shares_memory(in_order.times, sorted_times)
+    again = EventLog(n=4, horizon=10.0, times=in_order.times, nodes=in_order.nodes)
+    assert not np.shares_memory(again.times, in_order.times)
+    assert again.same_events(in_order)
+
+
 def test_event_log_validation():
     with pytest.raises(ValueError):
         EventLog(n=1, horizon=0.0, times=np.array([]), nodes=np.array([]))
@@ -49,6 +73,8 @@ def test_event_log_validation():
         EventLog(n=1, horizon=1.0, times=np.array([2.0]), nodes=np.array([0]))
     with pytest.raises(ValueError):
         EventLog(n=1, horizon=1.0, times=np.array([-0.5]), nodes=np.array([0]))
+    with pytest.raises(ValueError, match=r"\[0, horizon\]"):
+        EventLog(n=1, horizon=1.0, times=np.array([0.5, np.nan]), nodes=np.array([0, 0]))
     with pytest.raises(ValueError):
         EventLog(n=1, horizon=1.0, times=np.array([0.5]), nodes=np.array([1]))
     with pytest.raises(ValueError):
