@@ -238,8 +238,8 @@ class HawkesModel:
         for (i, j), w in self.weights.items():
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"weight index ({i}, {j}) out of range")
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
+            if not 0 <= w < math.inf:  # NaN fails too
+                raise ValueError("weights must be finite and nonnegative")
         for i, j in self.kernel_overrides:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"kernel override index ({i}, {j}) out of range")

@@ -13,13 +13,14 @@ after t0: Poisson(w e^{-r(s)(t0 - s)} / r(s)) of them, each Exp(r(s)) after
 t0, because the kernel is memoryless.
 
 ``max_intensity_trace`` evaluates the intensity of one realization at all
-its probes in one pass over time blocks.  For exponential kernels, grouped
-by decay, the excitation from each source is a cumulative sum of
-e^{decay (s - b)} over the block's events, rescaled by e^{-decay (t - b)}
-and carried from block to block; a block is short enough that
-decay * (t - b) stays below 30, so nothing overflows.  Modulated kernels,
-whose rate depends on each event, are summed directly over the source
-events still within reach of a 1e-12 kernel value.
+its probes, block by block, on node-major (node, probe) arrays.  For
+exponential kernels, grouped by decay, each source's excitation is a
+cumulative sum of e^{decay (s - b0)} over the block's events, rescaled by
+e^{-decay (t - b0)}, carried to the next block and added to each target's
+row once per edge.  A block is the longest run of probes that fits a fixed
+number of values with decay * (t - b0) at most 500, so nothing overflows.
+Modulated kernels, whose rate depends on each event, are summed directly
+over the source events still within reach of a 1e-12 kernel value.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ __all__ = [
     "child_seed",
 ]
 
-_BLOCK_SPAN = 10.0  # longest time block of the peak trace
 _PEAK_GRID_STEP = 0.05  # probe spacing of the peak trace when a baseline varies
-_BLOCK_EXPONENT = 30.0  # bound on decay * block span, far below float64 overflow
+_BLOCK_VALUES = 1 << 18  # values one peak-trace block holds: 2 MB per float64 array
+_BLOCK_EXPONENT = 500.0  # bound on decay * block span: e^500 is far below float64 overflow
+_SAVE_LINES = 1 << 16  # event-file lines formatted and written at once
 _EVENT_ROW = np.dtype([("time", np.float64), ("node", np.int64)])  # one event-file line
 
 
@@ -84,9 +86,10 @@ class EventLog:
             if nodes.min() < 0 or nodes.max() >= self.n:
                 raise ValueError("node indices out of range")
             if not _in_order(times, nodes):
-                order = np.lexsort((nodes, times))
-                times = times[order]
-                nodes = nodes[order]
+                order = np.argsort(times)  # without ties, the order is unique
+                if np.any(np.diff(times[order]) == 0):  # ties break by node
+                    order = np.lexsort((nodes, times))
+                times, nodes = times[order], nodes[order]
         times.flags.writeable = False
         nodes.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -228,14 +231,8 @@ def simulate(model: HawkesModel, horizon: float, seed: int) -> EventLog:
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     times, nodes, _ = _cluster(model, 0.0, horizon, 1, np.random.default_rng(seed))
-    return EventLog(
-        n=model.n,
-        horizon=horizon,
-        times=times,
-        nodes=nodes,
-        seed=seed,
-        fingerprint=model.fingerprint(),
-    )
+    return EventLog(n=model.n, horizon=horizon, times=times, nodes=nodes, seed=seed,
+                    fingerprint=model.fingerprint())
 
 
 def intensity(
@@ -290,16 +287,11 @@ def max_intensity_trace(model: HawkesModel, log: EventLog) -> tuple[float, float
         grid = np.arange(0.0, log.horizon + _PEAK_GRID_STEP / 2, _PEAK_GRID_STEP)
         probes = np.sort(np.concatenate((probes, np.minimum(grid, log.horizon))))
 
-    # Exponential edges, one (source, target) weight matrix per distinct decay.
+    # Exponential edges, grouped by decay; carry[g, j] is the sum of
+    # e^{-beta_g (b_prev - s)} over node j's events s in earlier blocks.
     exponential = swing == 0.0
-    groups = []
-    for beta in np.unique(decay[exponential]):
-        ix = np.flatnonzero(exponential & (decay == beta))
-        w = np.zeros((n, n))
-        w[source[ix], target[ix]] = weight[ix]
-        groups.append((float(beta), w))
-    # carry[g, j], at the top of each block: the sum of e^{-beta_g (b_prev - s)}
-    # over node j's events s in earlier blocks.
+    groups = [(float(beta), np.flatnonzero(exponential & (decay == beta)))
+              for beta in np.unique(decay[exponential])]
     carry = np.zeros((len(groups), n))
     # Modulated edges: the source's events, their kernel rates, and how far
     # back a kernel value can still exceed 1e-12.
@@ -309,40 +301,49 @@ def max_intensity_trace(model: HawkesModel, log: EventLog) -> tuple[float, float
         rate = decay[e] + swing[e] * np.sin(pace[e] * past)
         reach = _PRUNE_LOG / (decay[e] - abs(swing[e]))
         modulated.append((target[e], weight[e], past, rate, reach))
-    # Within a block, e^{decay (t - b0)} stays below e^{_BLOCK_EXPONENT}.
-    span = min([_BLOCK_SPAN] + [_BLOCK_EXPONENT / beta for beta, _ in groups])
+    # A probe costs a block one value per node and one per modulated source
+    # event within reach; a block spends at most _BLOCK_VALUES, and within it
+    # e^{decay (t - b0)} stays at most e^{_BLOCK_EXPONENT}.
+    cost = np.full(probes.size, n)
+    for _, _, past, _, reach in modulated:
+        cost += np.searchsorted(past, probes, side="right") - np.searchsorted(past, probes - reach)
+    load = np.cumsum(cost)
+    span = min([math.inf] + [_BLOCK_EXPONENT / beta for beta, _ in groups])
 
     best, best_t = -math.inf, 0.0
     p0 = e0 = 0
     b_prev = 0.0
     while p0 < probes.size:
         b0 = probes[p0]
-        p1 = max(p0 + 1, int(np.searchsorted(probes, b0 + span)))
+        fits = np.searchsorted(load, load[p0] - cost[p0] + _BLOCK_VALUES, side="right")
+        p1 = max(p0 + 1, min(fits, np.searchsorted(probes, b0 + span, side="right")))
         t = probes[p0:p1]
-        # Every event time is a probe, so the block's events lie in [b0, t[-1]].
+        # Every event time is a probe, so the block's events lie in [b0, t[-1]];
+        # each counts from the first probe at its time on.
         e1 = int(np.searchsorted(log.times, t[-1], side="right"))
-        times, nodes = log.times[e0:e1], log.nodes[e0:e1]
-        upto = np.searchsorted(times, t, side="right")
+        times = log.times[e0:e1]
+        cell = log.nodes[e0:e1] * t.size + np.searchsorted(t, times)
+        lam = np.repeat(level[:, None], t.size, axis=1)  # node-major (n, probes)
         if varying:
-            lam = level + amp * np.sin(freq * t[:, None] + phase)
-        else:
-            lam = np.tile(level, (t.size, 1))
-        for g, (beta, w) in enumerate(groups):
-            carry[g] *= math.exp(-beta * (b0 - b_prev))
-            jumps = np.zeros((times.size + 1, n))
-            jumps[np.arange(1, times.size + 1), nodes] = np.exp(beta * (times - b0))
-            jumps = np.cumsum(jumps, axis=0)
-            excited = (carry[g] + jumps[upto]) * np.exp(-beta * (t - b0))[:, None]
-            lam += np.einsum("pj,ji->pi", excited, w)  # c_einsum: no BLAS call
-            carry[g] += jumps[-1]
+            lam += amp[:, None] * np.sin(freq[:, None] * t + phase[:, None])
+        for g, (beta, edges) in enumerate(groups):
+            # A block without events would give int64 zeros, hence the cast.
+            jumps = np.exp(beta * (times - b0))
+            excited = np.bincount(cell, jumps, lam.size).astype(float, copy=False).reshape(n, -1)
+            excited[:, 0] += carry[g] * math.exp(-beta * (b0 - b_prev))
+            np.cumsum(excited, axis=1, out=excited)
+            carry[g] = excited[:, -1]
+            excited *= np.exp(-beta * (t - b0))
+            for j, i, w in zip(source[edges], target[edges], weight[edges]):
+                lam[i] += w * excited[j]
         for i, w, past, rate, reach in modulated:
             lo = np.searchsorted(past, t - reach)
             count = np.searchsorted(past, t, side="right") - lo
             probe = np.repeat(np.arange(t.size), count)
             k = np.arange(probe.size) + np.repeat(lo - (np.cumsum(count) - count), count)
             kernel = np.exp(-rate[k] * (t[probe] - past[k]))
-            lam[:, i] += w * np.bincount(probe, kernel, minlength=t.size)
-        top = lam.max(axis=1)
+            lam[i] += w * np.bincount(probe, kernel, minlength=t.size)
+        top = lam.max(axis=0)
         peak = int(np.argmax(top))
         if top[peak] > best:
             best, best_t = float(top[peak]), float(t[peak])
@@ -369,8 +370,9 @@ def save_events(log: EventLog, path: str) -> None:
         seed = "none" if log.seed is None else str(log.seed)
         fp = log.fingerprint or "none"
         fh.write(f"# hawkesgraph-events n={log.n} horizon={log.horizon!r} seed={seed} model={fp}\n")
-        for t, u in zip(log.times, log.nodes):
-            fh.write(f"{float(t)!r} {int(u)}\n")
+        for k in range(0, len(log), _SAVE_LINES):
+            rows = zip(log.times[k:k + _SAVE_LINES].tolist(), log.nodes[k:k + _SAVE_LINES].tolist())
+            fh.write("".join(f"{t!r} {u}\n" for t, u in rows))
 
 
 def load_events(path: str) -> EventLog:
@@ -395,11 +397,5 @@ def load_events(path: str) -> EventLog:
         raise ValueError(f"{path} is not sorted by (time, node)")
     seed = None if fields["seed"] == "none" else int(fields["seed"])
     fp = None if fields["model"] == "none" else fields["model"]
-    return EventLog(
-        n=int(fields["n"]),
-        horizon=float(fields["horizon"]),
-        times=times,
-        nodes=nodes,
-        seed=seed,
-        fingerprint=fp,
-    )
+    return EventLog(n=int(fields["n"]), horizon=float(fields["horizon"]), times=times,
+                    nodes=nodes, seed=seed, fingerprint=fp)

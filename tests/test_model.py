@@ -140,6 +140,16 @@ def test_model_validation_errors():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_model_rejects_weights_that_are_not_finite_and_nonnegative(bad):
+    # w < 0 is False for NaN, so only a test that NaN fails catches it
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        build_model(2, {(0, 0): 0.5, (1, 1): 0.5, (1, 0): bad})
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        build_model(1, {(0, 0): bad})
+    assert build_model(2, {(0, 0): 0.5, (1, 1): 0.0}).weight(1, 1) == 0.0
+
+
 def test_kernel_overrides():
     slow = KernelSpec(family="exponential", decay=0.5)
     model = HawkesModel(
@@ -297,15 +307,15 @@ def test_weight_bounds_match_the_pairwise_loop():
                                  self_gap=float(rng.choice(values[:2]))))
     cases.append(build_model(2, {(0, 1): 0.4}, weight_floor=float("nan")))
     cases.append(build_model(1, {}))
-    cases.append(build_model(1, {(0, 0): float("nan")}))
     worst = set()
     for model in cases:
         check = _check_weight_bounds(model)
         assert (check.margin, check.worst) == reference_weight_bounds(model)
         worst.add(re.sub(r"\d", "", check.worst))
-    # every kind of margin was the worst somewhere
+    # every kind of margin was the worst somewhere ("none" needs a NaN weight,
+    # which the model rejects)
     assert worst >= {"self-weight (,) positivity", "self-weight (,)", "self gap at (,)",
-                     "(,) below weight floor", "(,) above weight cap", "none"}
+                     "(,) below weight floor", "(,) above weight cap"}
 
 
 def test_validate_flags_sparsity():

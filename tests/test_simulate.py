@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from hawkesgraph import (
     load_events,
     max_intensity_trace,
     planted_model,
+    random_model,
     save_events,
     simulate,
 )
@@ -40,6 +43,13 @@ def test_event_log_sorts_and_freezes():
     assert log.counts().tolist() == [2, 1]
     with pytest.raises(ValueError):
         log.times[0] = 0.0
+
+
+def test_event_log_orders_ties_that_arrive_in_reverse_node_order():
+    log = EventLog(n=3, horizon=5.0, times=np.array([2.0, 1.0, 1.0, 1.0, 0.5]),
+                   nodes=np.array([0, 2, 1, 0, 1]))
+    assert log.times.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0]
+    assert log.nodes.tolist() == [1, 0, 1, 2, 0]
 
 
 def test_event_log_stores_ordered_and_unordered_input_alike():
@@ -170,6 +180,26 @@ def test_peak_trace_matches_direct_intensity_exponential():
         assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
 
 
+def _every_kernel_model() -> HawkesModel:
+    """Sinusoidal baselines with exponential kernels of decays 1.5 and 40
+    and one modulated kernel."""
+    return HawkesModel(
+        n=3,
+        weights={(1, 0): 0.5, (2, 1): 0.4, (1, 2): 0.2, (0, 0): 0.8, (1, 1): 0.8, (2, 2): 0.8},
+        baselines=tuple(
+            BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5, frequency=f)
+            for f in (0.5, 1.0, 3.0)
+        ),
+        default_kernel=KernelSpec(family="exponential", decay=1.5),
+        kernel_overrides={
+            (2, 1): KernelSpec(family="exponential", decay=40.0),
+            (1, 2): KernelSpec(family="modulated", decay=2.0,
+                               decay_amplitude=0.5, decay_frequency=3.0),
+        },
+        constants=plain_constants(log_slope_bound=2.0),
+    )
+
+
 def test_peak_trace_matches_direct_intensity_modulated():
     model = HawkesModel(
         n=2,
@@ -186,24 +216,10 @@ def test_peak_trace_matches_direct_intensity_modulated():
     assert len(log) > 10
     peak, _ = max_intensity_trace(model, log)
     assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
-    # Every kernel path at once, over many time blocks (the decay-40 edge
-    # shortens them to 0.75), then the same model on a hand-built log with
+    # Every kernel path at once, over several blocks (the decay-40 edge
+    # shortens them to 12.5), then the same model on a hand-built log with
     # events at t = 0 and two at one instant.
-    mixed = HawkesModel(
-        n=3,
-        weights={(1, 0): 0.5, (2, 1): 0.4, (1, 2): 0.2, (0, 0): 0.8, (1, 1): 0.8, (2, 2): 0.8},
-        baselines=tuple(
-            BaselineSpec(family="sinusoidal", level=1.0, amplitude=0.5, frequency=f)
-            for f in (0.5, 1.0, 3.0)
-        ),
-        default_kernel=KernelSpec(family="exponential", decay=1.5),
-        kernel_overrides={
-            (2, 1): KernelSpec(family="exponential", decay=40.0),
-            (1, 2): KernelSpec(family="modulated", decay=2.0,
-                               decay_amplitude=0.5, decay_frequency=3.0),
-        },
-        constants=plain_constants(log_slope_bound=2.0),
-    )
+    mixed = _every_kernel_model()
     log = simulate(mixed, 60.0, seed=22)
     assert len(log) > 100
     peak, _ = max_intensity_trace(mixed, log)
@@ -212,6 +228,66 @@ def test_peak_trace_matches_direct_intensity_modulated():
                    nodes=np.array([1, 2, 1, 2, 0]))
     peak, _ = max_intensity_trace(mixed, log)
     assert peak == pytest.approx(reference_peak(mixed, log), rel=1e-9)
+
+
+def test_peak_trace_with_the_value_budget_binding(monkeypatch):
+    # A probe of this model costs 3 values plus one per modulated source
+    # event within reach (tens), so 256 values split the 60-unit log into
+    # hundreds of blocks instead of a few.
+    import hawkesgraph.simulation as simulation_module
+
+    mixed = _every_kernel_model()
+    log = simulate(mixed, 60.0, seed=22)
+    whole, whole_at = max_intensity_trace(mixed, log)
+    monkeypatch.setattr(simulation_module, "_BLOCK_VALUES", 256)
+    peak, at = max_intensity_trace(mixed, log)
+    assert peak == pytest.approx(reference_peak(mixed, log), rel=1e-9)
+    assert peak == pytest.approx(whole, rel=1e-12)
+    assert at == whole_at
+
+
+def test_peak_trace_with_the_exponent_cap_binding():
+    # At decay 40 a block spans at most 500 / 40 = 12.5 time units, so this
+    # log takes 16 of them; one block would overflow e^{40 (t - b0)}.
+    weights = {(1, 0): 0.5, (0, 1): 0.3, (0, 0): 0.8, (1, 1): 0.8}
+    model = build_model(2, weights, level=2.0, decay=40.0)
+    log = simulate(model, 200.0, seed=3)
+    assert len(log) > 500
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        peak, _ = max_intensity_trace(model, log)
+    assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
+
+
+def test_peak_trace_on_a_sparse_model_with_two_decays():
+    base = random_model(30, 2, seed=4)
+    i, j = next(ij for ij, w in sorted(base.weights.items()) if ij[0] != ij[1] and w > 0)
+    slow = dataclasses.replace(base.default_kernel, decay=2 * base.default_kernel.decay)
+    model = dataclasses.replace(base, kernel_overrides={(i, j): slow})
+    log = simulate(model, 4.0, seed=5)
+    assert len(log) > 50 and np.any(log.nodes == j)
+    peak, _ = max_intensity_trace(model, log)
+    assert peak == pytest.approx(reference_peak(model, log), rel=1e-9)
+
+
+def test_peak_trace_memory_is_bounded_by_the_value_budget():
+    # The chains topology at decay 0.1 lets a block span 5000 time units, so
+    # without the value budget the 122k-event log would be one block of 1.2M
+    # values per (node, probe) array, about 25 MB at the peak.  With blocks of
+    # 2^18 values (2 MB an array) and the log-sized probe arrays it stays
+    # near 9 MB.
+    chains = {(b + k + 1, b + k): 0.8 for b in (0, 5) for k in range(4)}
+    model = planted_model(10, chains, self_weight=1.2, decay=0.1, baseline_level=1.0,
+                          slack=0.25)
+    log = simulate(model, 4000.0, seed=0)
+    assert len(log) > 100_000
+    tracemalloc.start()
+    try:
+        max_intensity_trace(model, log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +413,8 @@ def test_max_intensity_trace_hand_case():
     peak, at = max_intensity_trace(model, log)
     assert peak == pytest.approx(1.8, abs=1e-12)
     assert at == 1.0
-    # At decay 100, e^{100 (9 - 1)} overflows float64 unless the trace's
-    # time blocks are short.
+    # At decay 100, e^{100 (9 - 1)} overflows float64 unless the exponent cap
+    # ends the trace's block before t = 9.
     fast = build_model(1, {(0, 0): 0.8}, level=1.0, decay=100.0)
     log = EventLog(n=1, horizon=10.0, times=np.array([1.0, 9.0]), nodes=np.array([0, 0]))
     assert max_intensity_trace(fast, log) == (pytest.approx(1.8, abs=1e-12), 1.0)
@@ -384,6 +460,38 @@ def test_event_file_roundtrip(tmp_path):
     assert back.seed == 6
     assert back.fingerprint == model.fingerprint()
     assert back.horizon == 30.0
+
+
+def _save_events_line_by_line(log: EventLog, path) -> None:
+    """The event-file writer as one formatted write per event."""
+    with open(path, "w") as fh:
+        seed = "none" if log.seed is None else str(log.seed)
+        fp = log.fingerprint or "none"
+        fh.write(f"# hawkesgraph-events n={log.n} horizon={log.horizon!r} seed={seed} model={fp}\n")
+        for t, u in zip(log.times, log.nodes):
+            fh.write(f"{float(t)!r} {int(u)}\n")
+
+
+@pytest.mark.parametrize("lines", [None, 7])
+def test_event_file_bytes_match_line_by_line_formatting(tmp_path, monkeypatch, lines):
+    # Ties, t = 0, t = horizon, tiny and large times, and more lines than one
+    # chunk of the writer.
+    import hawkesgraph.simulation as simulation_module
+
+    if lines is not None:
+        monkeypatch.setattr(simulation_module, "_SAVE_LINES", lines)
+    horizon = 1e6
+    special = [0.0, 0.0, 5e-324, 1e-300, 1e-7, 1.0 / 3, 1.0 / 3, 123456.789, 1e5 + 1e-9,
+               horizon, horizon]
+    rng = np.random.default_rng(12)
+    times = np.concatenate((special, rng.uniform(0.0, horizon, 70_000)))
+    log = EventLog(n=3, horizon=horizon, times=times, nodes=rng.integers(0, 3, times.size),
+                   seed=12, fingerprint="abc123")
+    assert len(log) > simulation_module._SAVE_LINES
+    save_events(log, str(tmp_path / "chunked.log"))
+    _save_events_line_by_line(log, str(tmp_path / "lines.log"))
+    assert (tmp_path / "chunked.log").read_bytes() == (tmp_path / "lines.log").read_bytes()
+    assert load_events(str(tmp_path / "chunked.log")).same_events(log)
 
 
 def test_event_file_rejects_garbage(tmp_path):
