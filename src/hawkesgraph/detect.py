@@ -65,12 +65,12 @@ class DetectorConfig:
     use_triples: bool = True
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError("epsilon must be positive and finite")
         if window_count(self.horizon, self.epsilon) < 1:
             raise ValueError("horizon must cover at least one window (3 * epsilon)")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if self.source not in _SOURCES:
             raise ValueError(f"source must be one of {_SOURCES}")
 

@@ -93,12 +93,14 @@ def _declared_constants(
     # and in the validator accumulate in different orders.  ``rows`` are the
     # row excitation masses of ``weights``.
     cross = [w for (i, j), w in weights.items() if i != j and w > 0]
-    gap = math.inf
-    for i in range(n):
-        w_self = weights.get((i, i), 0.0)
-        for j in range(n):
-            if j != i:
-                gap = min(gap, w_self - weights.get((i, j), 0.0))
+    # Rounding is monotone, so the smallest w_ii - w_ij over j != i is w_ii
+    # minus the row's largest cross-weight, bit for bit.  Weights are
+    # nonnegative and an absent one is 0, so each row maximum starts at 0.
+    top = [0.0] * n
+    for (i, j), w in weights.items():
+        if i != j:
+            top[i] = max(top[i], w)
+    gap = min(weights.get((i, i), 0.0) - top[i] for i in range(n)) if n > 1 else math.inf
     slope = 0.0
     for b in baselines:
         if b.family == "sinusoidal":
@@ -205,9 +207,11 @@ def random_model(
                 weights[(i, j)] = float(rng.uniform(*r.cross_weight))
             if direction in (1, 2):
                 weights[(j, i)] = float(rng.uniform(*r.cross_weight))
+    row_max = [0.0] * n  # cross-weights are positive
+    for (i, _), w in weights.items():
+        row_max[i] = max(row_max[i], w)
     for i in range(n):
-        row_max = max((w for (t, _), w in weights.items() if t == i), default=0.0)
-        weights[(i, i)] = row_max + r.self_gap + float(rng.uniform(0.0, r.self_extra))
+        weights[(i, i)] = row_max[i] + r.self_gap + float(rng.uniform(0.0, r.self_extra))
 
     weights, rows = _rescale_for_stability(weights, kernel, n, r.stability_slack, rescale)
     constants = _declared_constants(weights, rows, baselines, kernel, n, d)

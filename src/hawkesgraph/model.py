@@ -36,7 +36,7 @@ _BASELINE_FAMILIES = ("constant", "sinusoidal")
 _KERNEL_FAMILIES = ("exponential", "modulated")
 _PRUNE_LOG = 27.631021115928547  # -log(1e-12): kernel values below 1e-12 are dropped
 _gauss_legendre = cache(lambda: np.polynomial.legendre.leggauss(16))  # on [-1, 1]
-_MAX_PANELS = 1 << 14  # 2^18 Gauss-Legendre nodes: a kernel supremum then takes seconds at most
+_MAX_VALUES = 1 << 20  # integrand values (8 MB) per array of KernelSpec.integral
 
 
 @dataclass(frozen=True)
@@ -137,37 +137,52 @@ class KernelSpec:
         """integral of phi(t, x) dx over x in [lower, t].
 
         Closed form for the exponential family, whose t is a scalar.  The
-        modulated family takes a scalar or an array t.  Its phi is below 1e-12
-        past the age reach = -log(1e-12) / rate_floor, so a composite 16-point
-        Gauss-Legendre rule covers [max(lower, t - reach), t] only, in panels at
-        most 12 times the integrand's shortest scale: 1/rate_cap, 1/|decay_frequency|
-        or 1/(|decay_frequency| sqrt(|decay_amplitude| reach)), its bump at a rate minimum.
-        A kernel that needs more than _MAX_PANELS panels raises ValueError.
+        modulated family takes a scalar or an array t.  Its rate has period
+        P = 2 pi / |decay_frequency|, so phi(t, x - kP) = phi(t, x) q^k with
+        q = exp(-rate(x) P).  A 16-point Gauss-Legendre rule covers x in
+        [t - min(P, reach, t - lower), t] only, reach = -log(1e-12) / rate_floor,
+        weights x by (1 - q^(K+1)) / (1 - q), K = floor((x - lower) / P), and is
+        split where K steps.  Panels are 1/12 of the shortest of 1/rate_cap,
+        1/|decay_frequency| and 1/(|decay_frequency| sqrt(|decay_amplitude| reach)).
+        A rule of more than _MAX_VALUES values per t raises ValueError.
         """
         if self.family == "exponential":
             if not 0.0 <= lower <= t:
                 raise ValueError("integral needs 0 <= lower <= t")
             return (1.0 - math.exp(-self.decay * (t - lower))) / self.decay
         t = np.asarray(t, dtype=float)
-        if lower < 0.0 or (t < lower).any():
+        if lower < 0.0 or not (t >= lower).all():  # NaN fails too
             raise ValueError("integral needs 0 <= lower <= t")
+        period = 2.0 * math.pi / abs(self.decay_frequency) if self.decay_frequency else math.inf
         reach = _PRUNE_LOG / self.rate_floor()
         scale = self.rate_cap() + abs(self.decay_frequency) * (
             1.0 + math.sqrt(abs(self.decay_amplitude) * reach))
-        panels = math.ceil(reach * scale / 12.0)
-        if panels > _MAX_PANELS:
-            raise ValueError(f"{self} needs {panels} quadrature panels, over the limit "
-                             f"{_MAX_PANELS}: raise decay - |decay_amplitude| or lower decay_frequency")
+        panels = math.ceil(min(period, reach) * scale / 12.0)
         nodes, weights = _gauss_legendre()
-        ages = ((np.arange(panels)[:, None] + (nodes + 1.0) / 2.0) / panels).ravel()
-        weights = np.tile(weights, panels) / (2.0 * panels)
-        ends, width = t.ravel(), np.minimum(t - lower, reach).ravel()
-        out = np.empty(ends.size)
-        rows = (1 << 20) // ages.size  # arrays of at most 2^20 values (8 MB) at once
-        for a in range(0, ends.size, rows):  # age u = t - x spans each window in panels
-            u = width[a:a + rows, None] * ages
-            out[a:a + rows] = np.exp(-self.rate(ends[a:a + rows, None] - u) * u) @ weights
-        out *= width
+        size = nodes.size * (panels + 1)  # one more panel for the split
+        if size > _MAX_VALUES:
+            raise ValueError(f"{self} needs {size} integrand values per t, over {_MAX_VALUES}")
+        since = (t - lower).ravel()
+        width, grid = np.minimum(since, min(period, reach)), np.arange(panels + 1) / panels
+        cut = np.minimum(np.fmod(since, period), width)[:, None]  # the age where K steps
+        out, rows = np.empty(since.size), _MAX_VALUES // size
+        for a in range(0, since.size, rows):
+            b = slice(a, a + rows)
+            edges = np.sort(np.concatenate((width[b, None] * grid, cut[b]), axis=1), axis=1)
+            half = (edges[:, 1:] - edges[:, :-1]) / 2.0
+            mid = edges[:, :-1] + half  # K is constant on each panel: take it at its middle
+            copies = np.floor((since[b, None] - mid) / period)[:, :, None] + 1.0  # K + 1
+            f = half[:, :, None] * nodes
+            f += mid[:, :, None]  # ages u = t - x
+            rate = t.ravel()[b, None, None] - f  # event times x, then -rate(x) in place
+            np.sin(np.multiply(rate, self.decay_frequency, out=rate), out=rate)
+            rate *= -self.decay_amplitude
+            rate -= self.decay
+            np.exp(np.multiply(f, rate, out=f), out=f)  # phi
+            rate *= period  # log q
+            f /= np.expm1(rate)
+            f *= np.expm1(rate * copies, out=rate)  # three arrays at most
+            out[b] = np.einsum("rpk,k,rp->r", f, weights, half)
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def mass_bound(self) -> float:
@@ -506,10 +521,9 @@ def validate_model(model: HawkesModel, horizon: float) -> ValidationReport:
     all time.  Stability bounds each row's excitation mass over [0, horizon]
     by sum_j w_ij sup_t I_ij(t), one supremum per distinct kernel: the row's
     supremum when it uses one kernel, an upper bound when kernels mix.
-    Violations are reported, not raised; callers decide what they mean.  A
-    modulated kernel past KernelSpec.integral's panel limit raises ValueError.
+    Violations are reported, not raised; callers decide what they mean.
     """
-    if horizon <= 0:
+    if not horizon > 0:  # NaN fails too
         raise ValueError("horizon must be positive")
     checks = (
         _check_baseline_floor(model),

@@ -62,8 +62,8 @@ _BLOCK_BYTES = 1 << 24  # cap on the uint64 intermediate of one _cooccur block
 
 def bin_count(horizon: float, epsilon: float) -> int:
     """Number of bins covering [0, horizon], the last one possibly partial."""
-    if epsilon <= 0 or horizon <= 0:
-        raise ValueError("horizon and epsilon must be positive")
+    if not (0 < epsilon < math.inf and 0 < horizon < math.inf):  # NaN fails too
+        raise ValueError("horizon and epsilon must be positive and finite")
     q = horizon / epsilon
     base = math.floor(q)
     if q - base < _SNAP * max(q, 1.0):

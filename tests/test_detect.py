@@ -10,6 +10,7 @@ from hawkesgraph import (
     EventLog,
     PairTable,
     accumulate_all,
+    bin_count,
     bin_events,
     calibrate_threshold,
     detect,
@@ -41,6 +42,17 @@ def test_config_validation():
         DetectorConfig(epsilon=0.1, horizon=10.0, threshold=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(epsilon=0.1, horizon=10.0, threshold=0.5, source="guesswork")
+    # NaN passes `<= 0` checks: a NaN threshold would silently detect no edge
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            DetectorConfig(epsilon=0.1, horizon=10.0, threshold=bad)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            DetectorConfig(epsilon=bad, horizon=10.0, threshold=0.5)
+        with pytest.raises(ValueError, match="horizon and epsilon must be positive and finite"):
+            DetectorConfig(epsilon=0.1, horizon=bad, threshold=0.5)
+        for args in ((bad, 0.1), (10.0, bad)):
+            with pytest.raises(ValueError, match="horizon and epsilon must be positive and finite"):
+                bin_count(*args)
 
 
 def test_one_window_rule_for_config_and_calibration():
@@ -277,6 +289,14 @@ def test_graph_file_roundtrip(tmp_path):
     assert back_config == config
     path.write_text("0 3\n")
     with pytest.raises(ValueError, match="not a graph file"):
+        load_graph(str(path))
+
+
+def test_graph_file_rejects_a_nan_threshold(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("# hawkesgraph-graph nodes=5 epsilon=0.05 horizon=100.0 threshold=nan "
+                    "source=user\n0 3\n")
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
         load_graph(str(path))
 
 

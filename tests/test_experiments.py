@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,36 @@ def test_planted_model_entry_errors():
         planted_model(2, {(0, 1): 1.0}, self_weight=1.0)
     model = planted_model(3, {(0, 1): -1.0, (0, 2): 0.0}, self_weight=1.0)
     assert not true_graph(model).edges  # nonpositive entries are dropped
+
+
+_CHAINS = {(b + k + 1, b + k): 0.8 for b in (0, 5) for k in range(4)}
+
+
+@pytest.mark.parametrize("build, fingerprint, constants", [
+    (lambda: random_model(5, 2, 0), "9166a5672f12",
+     (0.5165276355285291, 1.4127555772777218, 0.3169918026872778, 0.8179073534099319,
+      0.29183877713094164, 2.387619543375054, 0.4397685564743524, 0.10132976099791766, 2)),
+    (lambda: random_model(20, 3, 1), "c5da7577eb2d",
+     (0.5275591132430684, 1.4504636963259352, 0.22835637674380485, 0.529933570665609,
+      0.06596993026913128, 2.1248254118705394, 0.49415824666538494, 0.09999999999899986, 3)),
+    (lambda: random_model(60, 4, 7, ModelRanges(sinusoidal_probability=0.5)), "d53e241fb945",
+     (0.18383285630918117, 2.3580752277546186, 0.1672129173947536, 0.4854219662934295,
+      0.06088605041601575, 3.688543689028117, 0.4444067324428112, 0.09999999999900008, 4)),
+    (lambda: planted_model(10, _CHAINS, 1.2, decay=2.0, baseline_level=1.0, slack=0.25),
+     "b3322421f035",
+     (1.0, 1.0, 0.6000000000000001, 0.6000000000000001, 0.2999999999999998, 2.1, 0.5,
+      0.249999999999, 2)),
+    (lambda: planted_model(3, {(1, 0): 0.5, (0, 1): 0.5}, 0.7), "215a1d51cbf2",
+     (1.0, 1.0, 0.5, 0.5, 0.19999999999999996, 2.1, 0.5, 0.39999999999900004, 1)),
+    (lambda: planted_model(1, {}, 0.4), "e61cdde8c5d1",
+     (1.0, 1.0, 1e-06, 1.0, 0.4, 2.1, 0.5, 0.7999999999990001, 1)),
+])
+def test_builder_constants_are_pinned(build, fingerprint, constants):
+    # Values of the quadratic self-gap and row-maximum loops, which the
+    # linear ones must reproduce bit for bit.
+    model = build()
+    assert dataclasses.astuple(model.constants) == constants
+    assert model.fingerprint() == fingerprint
 
 
 def test_run_trial_recovers_planted_edge():

@@ -99,6 +99,10 @@ def test_kernel_validation():
         k.value(1.0, -0.5)
     with pytest.raises(ValueError):
         k.integral(1.0, 2.0)
+    modulated = KernelSpec(family="modulated", decay=2.0, decay_amplitude=1.0, decay_frequency=1.0)
+    for t in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="integral needs"):
+            modulated.integral(t)
 
 
 def test_constants_validation():
@@ -330,6 +334,8 @@ def test_validate_model_argument_errors():
         validate_model(_valid_model(), horizon=0.0)
     with pytest.raises(ValueError):
         validate_model(_valid_model(), horizon=-1.0)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        validate_model(_valid_model(), horizon=math.nan)
 
 
 def _check(report, name):
@@ -462,11 +468,13 @@ def test_modulated_stability_check_warns_at_no_horizon(decay, amplitude, frequen
 
 
 def test_slow_fast_modulated_integral_stays_in_bounded_memory():
-    # Rate floor 0.02 (reach about 1382) and frequency 2 need 8,937 panels of
-    # 16 nodes, so 60 times need 8.6M integrand values; they are taken 2^20 at a time.
+    # Rate floor 0.02 (reach about 1382) and frequency 2: one period of pi needs
+    # 21 panels plus the split, 352 values per time, so 8,000 times need 2.8M
+    # integrand values; they are taken 2^20 at a time (about 26 MB at peak).
+    # Whole, each array would hold 22 MB and the call would peak near 70 MB.
     k = KernelSpec(family="modulated", decay=1.0, decay_amplitude=0.98, decay_frequency=2.0)
     reach = -math.log(1e-12) / k.rate_floor()
-    ts = np.repeat([1500.0, 3001.3], 30)
+    ts = np.repeat([1500.0, 3001.3], 4000)
     tracemalloc.start()
     try:
         got = k.integral(ts)
@@ -474,23 +482,73 @@ def test_slow_fast_modulated_integral_stays_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
-    for t, value in zip(ts[::30], got[::30]):
+    for t, value in zip(ts[::4000], got[::4000]):
         edges = np.linspace(t - reach, t, 400)
         expected = sum(quad(lambda x: k.value(t, x), a, b, epsabs=1e-15)[0]
                        for a, b in zip(edges[:-1], edges[1:]))
         assert value == pytest.approx(expected, abs=1e-11)
 
 
-def test_modulated_kernel_past_the_panel_limit_is_rejected():
-    # Rate floor 0.01 and frequency 20: 245,922 panels, over the limit.
-    kernel = KernelSpec(family="modulated", decay=1.0, decay_amplitude=0.99, decay_frequency=20.0)
+def _per_period_quad(k, t, lower):
+    # quad on one period of the reach window at a time, newest first
+    period = 2 * math.pi / abs(k.decay_frequency)
+    start = max(lower, t + math.log(1e-12) / k.rate_floor())
+    edges = np.append(np.arange(t, start, -period), start)[::-1]
+    return sum(quad(lambda x: k.value(t, x), a, b, epsabs=1e-15)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+# Rate floors 0.01 and 0.001 with fast frequencies: a rule over the whole reach
+# window would need 245,922 and 389,464 panels; one period needs 28 and 89.
+_TINY_FLOOR_KERNELS = [(1.0, 0.99, 20.0), (1.0, 0.999, 1.0)]
+
+
+@pytest.mark.parametrize("decay, amplitude, frequency", _TINY_FLOOR_KERNELS)
+def test_tiny_rate_floor_kernels_fold_onto_one_period(decay, amplitude, frequency):
+    kernel = KernelSpec(family="modulated", decay=decay, decay_amplitude=amplitude,
+                        decay_frequency=frequency)
+    for lower in (0.0, 0.37):
+        ts = np.array([lower, lower + 0.3, 5.0, 97.3])
+        for t, value in zip(ts, kernel.integral(ts, lower)):
+            assert value == pytest.approx(_per_period_quad(kernel, t, lower), abs=1e-10)
     m = HawkesModel(
         n=1, weights={(0, 0): 0.001}, baselines=(BaselineSpec(family="constant", level=1.0),),
         default_kernel=kernel, constants=plain_constants(kernel_mass_bound=kernel.mass_bound()),
     )
-    with pytest.raises(ValueError, match="245922 quadrature panels"):
+    stability = _check(validate_model(m, 100.0), "stability")
+    assert stability.passed
+    sup = _kernel_supremum(kernel, 100.0)
+    assert stability.margin == pytest.approx(0.95 - 0.001 * sup)
+    assert sup >= kernel.integral(np.linspace(0.0, 100.0, 1001)).max()
+
+
+@pytest.mark.parametrize("periods", [1, 40])
+@pytest.mark.parametrize("decay, amplitude, frequency", [(2.0, 1.5, 1.3)] + _TINY_FLOOR_KERNELS)
+def test_modulated_integral_is_split_where_the_copy_count_steps(decay, amplitude, frequency,
+                                                                periods):
+    # Past t = lower + periods * P the window's oldest copies reach lower, so
+    # inside the window their count steps at age t - lower - periods * P.
+    k = KernelSpec(family="modulated", decay=decay, decay_amplitude=amplitude,
+                   decay_frequency=frequency)
+    lower, period = 0.37, 2 * math.pi / frequency
+    step = lower + periods * period
+    ts = step + np.array([-1e-9, 0.0, 1e-9, 0.01 * period, 0.1 * period])
+    for t, value in zip(ts, k.integral(ts, lower)):
+        assert value == pytest.approx(_per_period_quad(k, t, lower), abs=1e-11)
+
+
+def test_modulated_rule_past_the_value_budget_is_rejected():
+    # A rate floor of 1e-10 needs 4,403,744 integrand values for one t even
+    # on one period, four times the 2^20 budget.
+    kernel = KernelSpec(family="modulated", decay=1.0, decay_amplitude=1 - 1e-10,
+                        decay_frequency=1.0)
+    m = HawkesModel(
+        n=1, weights={(0, 0): 0.001}, baselines=(BaselineSpec(family="constant", level=1.0),),
+        default_kernel=kernel, constants=plain_constants(kernel_mass_bound=kernel.mass_bound()),
+    )
+    with pytest.raises(ValueError, match="needs 4403744 integrand values per t"):
         kernel.integral(5.0)
-    with pytest.raises(ValueError, match="quadrature panels"):
+    with pytest.raises(ValueError, match="integrand values"):
         validate_model(m, 100.0)
 
 
