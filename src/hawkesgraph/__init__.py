@@ -12,9 +12,6 @@ from .detect import (
     load_graph,
     pair_scores,
     save_graph,
-    suggest_epsilon,
-    theorem_schedule,
-    theorem_threshold,
 )
 from .expectations import (
     DriftReport,
@@ -26,6 +23,7 @@ from .expectations import (
     within_envelope,
 )
 from .experiments import (
+    SWEEP_COLUMNS,
     InfeasibleModelError,
     ModelRanges,
     RateBoundReport,
@@ -50,7 +48,6 @@ from .model import (
     validate_model,
 )
 from .simulation import (
-    Event,
     EventLog,
     child_seed,
     intensity,

@@ -6,17 +6,14 @@ scores at or above the threshold.  The pair term alone misses symmetric
 two-way excitation, which is exactly what the triple term is there to catch,
 so both feed the score.
 
-Thresholds come from one of three sources: the closed form backed by the
-recovery guarantee (``theorem_threshold``), a user choice, or calibration
-against surrogate data with one node's events circularly shifted
-(``calibrate_threshold``), which preserves each node's marginal stream while
-destroying cross-correlation.
+Thresholds are either the user's choice or calibrated against surrogate data
+with one node's events circularly shifted (``calibrate_threshold``), which
+preserves each node's marginal stream while destroying cross-correlation.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +36,12 @@ __all__ = [
     "pair_scores",
     "detect",
     "detect_subset",
-    "theorem_threshold",
-    "theorem_schedule",
     "calibrate_threshold",
-    "suggest_epsilon",
     "save_graph",
     "load_graph",
 ]
 
-_SOURCES = ("theorem", "user", "calibrated")
+_SOURCES = ("user", "calibrated")
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class DetectorConfig:
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
         if self.source not in _SOURCES:
-            raise ValueError(f"source must be one of {_SOURCES}")
+            raise ValueError(f"source must be one of {_SOURCES}, not {self.source!r}")
 
 
 def _scores(
@@ -134,35 +128,6 @@ def detect_subset(
     # Unobserved nodes have no events left, so every sum involving them is 0
     # and, with a positive threshold, can never make an edge.
     return detect(accumulate_all(bin_events(sub, config.epsilon)), config)
-
-
-def theorem_threshold(weight_floor: float, self_gap: float, baseline_floor: float) -> float:
-    """Threshold with a recovery guarantee for models honoring the declared
-    floors: one eighth of weight_floor * self_gap * baseline_floor."""
-    if weight_floor <= 0 or self_gap <= 0 or baseline_floor <= 0:
-        raise ValueError("threshold inputs must be positive")
-    return weight_floor * self_gap * baseline_floor / 8.0
-
-
-def theorem_schedule(n: int) -> tuple[float, float]:
-    """Horizon and bin width, (log n)^100 and (log n)^-17, that back the
-    recovery guarantee for an n-node network.
-
-    These come from a worst-case analysis and are astronomically
-    conservative; they are exposed for completeness, not for use.  Calibrate
-    a threshold on real horizons instead.
-    """
-    if n < 3:
-        raise ValueError("the schedule needs n >= 3 so that log(n) > 1")
-    ln = math.log(n)
-    warnings.warn(
-        "theorem_schedule returns proof-driven constants: for n={} the horizon "
-        "is {:.3g}, far beyond any practical run; treat it as a reference "
-        "point only".format(n, ln**100),
-        UserWarning,
-        stacklevel=2,
-    )
-    return ln**100, ln**-17
 
 
 def calibrate_threshold(
@@ -250,14 +215,6 @@ def _shifted_events(
     return times, rows
 
 
-def suggest_epsilon(log: EventLog, occupancy: float = 0.05) -> float:
-    """Bin width for which the busiest node averages ``occupancy`` events per bin."""
-    if len(log) == 0:
-        raise ValueError("cannot size bins for an empty log")
-    top_rate = float(np.max(log.counts())) / log.horizon
-    return occupancy / top_rate
-
-
 def save_graph(graph: DependencyGraph, config: DetectorConfig, path: str) -> None:
     """One edge per line as "i j", lexicographic, after a config header."""
     with open(path, "w") as fh:
@@ -287,11 +244,14 @@ def load_graph(path: str) -> tuple[DependencyGraph, DetectorConfig]:
             i, j = line.split()
             edges.add((int(i), int(j)))
     graph = DependencyGraph(int(fields["nodes"]), frozenset(edges))
-    config = DetectorConfig(
-        epsilon=float(fields["epsilon"]),
-        horizon=float(fields["horizon"]),
-        threshold=float(fields["threshold"]),
-        source=fields["source"],
-        use_triples=bool(int(fields.get("use_triples", 1))),
-    )
+    try:
+        config = DetectorConfig(
+            epsilon=float(fields["epsilon"]),
+            horizon=float(fields["horizon"]),
+            threshold=float(fields["threshold"]),
+            source=fields["source"],
+            use_triples=bool(int(fields.get("use_triples", 1))),
+        )
+    except ValueError as exc:  # e.g. source=theorem, which older versions wrote
+        raise ValueError(f"{path}: {exc}") from exc
     return graph, config

@@ -131,26 +131,34 @@ def _row_masses(
     return rows
 
 
-def _rescale_for_stability(
+def _stable_model(
     weights: dict[tuple[int, int], float],
+    baselines: tuple[BaselineSpec, ...],
     kernel: KernelSpec,
-    n: int,
     slack: float,
-    rescale: bool,
-) -> tuple[dict[tuple[int, int], float], np.ndarray]:
-    """Weights with every row mass at most 1 - slack, and those row masses."""
+    max_degree: int,
+) -> HawkesModel:
+    """The builders' shared tail: the model of ``weights``, all scaled down
+    together if some row's excitation mass exceeds 1 - slack (which preserves
+    the graph), with its declared constants, validated at the build horizon."""
+    n = len(baselines)
     rows = _row_masses(weights, kernel, n)
     worst = float(rows.max(initial=0.0))
-    if worst <= 1.0 - slack:
-        return weights, rows
-    if not rescale:
-        raise InfeasibleModelError(
-            f"row {int(rows.argmax())} has excitation mass {worst:.4g} "
-            f"> {1.0 - slack:.4g}; rescaling disabled"
-        )
-    factor = (1.0 - slack) / worst
-    weights = {k: w * factor for k, w in weights.items()}
-    return weights, _row_masses(weights, kernel, n)
+    if worst > 1.0 - slack:
+        factor = (1.0 - slack) / worst
+        weights = {k: w * factor for k, w in weights.items()}
+        rows = _row_masses(weights, kernel, n)
+    model = HawkesModel(
+        n=n,
+        weights=weights,
+        baselines=baselines,
+        default_kernel=kernel,
+        constants=_declared_constants(weights, rows, baselines, kernel, n, max_degree),
+    )
+    report = validate_model(model, _BUILD_CHECK_HORIZON)
+    if not report.passed:
+        raise InfeasibleModelError(f"built model failed validation:\n{report}")
+    return model
 
 
 def random_model(
@@ -158,7 +166,6 @@ def random_model(
     d: int,
     seed: int,
     ranges: ModelRanges | None = None,
-    rescale: bool = True,
 ) -> HawkesModel:
     """Draw a random model with max undirected degree d that passes validation.
 
@@ -170,7 +177,7 @@ def random_model(
     both, equally likely) and one weight per active direction; finally one
     self-weight draw per node.  If any row's excitation mass exceeds
     1 - slack all weights are scaled down together, which preserves the
-    graph; pass rescale=False to get InfeasibleModelError instead.
+    graph.
     """
     if n < 2 or not 1 <= d < n:
         raise ValueError("need n >= 2 and 1 <= d < n")
@@ -213,19 +220,7 @@ def random_model(
     for i in range(n):
         weights[(i, i)] = row_max[i] + r.self_gap + float(rng.uniform(0.0, r.self_extra))
 
-    weights, rows = _rescale_for_stability(weights, kernel, n, r.stability_slack, rescale)
-    constants = _declared_constants(weights, rows, baselines, kernel, n, d)
-    model = HawkesModel(
-        n=n,
-        weights=weights,
-        baselines=tuple(baselines),
-        default_kernel=kernel,
-        constants=constants,
-    )
-    report = validate_model(model, _BUILD_CHECK_HORIZON)
-    if not report.passed:
-        raise InfeasibleModelError(f"generated model failed validation:\n{report}")
-    return model
+    return _stable_model(weights, tuple(baselines), kernel, r.stability_slack, d)
 
 
 def planted_model(
@@ -235,7 +230,6 @@ def planted_model(
     decay: float = 2.0,
     baseline_level: float = 1.0,
     slack: float = 0.25,
-    rescale: bool = True,
 ) -> HawkesModel:
     """Build a fixed-topology model from explicit (target, source) -> weight
     entries, stabilized the same way random_model is.
@@ -265,22 +259,8 @@ def planted_model(
     for i in range(n):
         weights[(i, i)] = float(self_weight)
     kernel = KernelSpec(family="exponential", decay=float(decay))
-    weights, rows = _rescale_for_stability(weights, kernel, n, slack, rescale)
-    baselines = tuple(
-        BaselineSpec(family="constant", level=float(baseline_level)) for _ in range(n)
-    )
-    constants = _declared_constants(weights, rows, baselines, kernel, n, max(max(degree), 1))
-    model = HawkesModel(
-        n=n,
-        weights=weights,
-        baselines=baselines,
-        default_kernel=kernel,
-        constants=constants,
-    )
-    report = validate_model(model, _BUILD_CHECK_HORIZON)
-    if not report.passed:
-        raise InfeasibleModelError(f"planted model failed validation:\n{report}")
-    return model
+    baselines = (BaselineSpec(family="constant", level=float(baseline_level)),) * n
+    return _stable_model(weights, baselines, kernel, slack, max(max(degree), 1))
 
 
 @dataclass(frozen=True)
@@ -378,8 +358,9 @@ class RateBoundReport:
 def rate_bound_check(trials: Iterable[TrialResult]) -> RateBoundReport:
     """Count trials whose peak intensity exceeds d^2 * log(n * T)^4.
 
-    Trials without a tracked peak are skipped.  The bound is loose by
-    design; any violation at all points at a simulator or model bug.
+    Trials without a tracked peak are skipped.  The degree is floored at 1,
+    and a zero bound (n * T = 1) is a violation with ratio inf.  The bound is
+    loose by design; any violation at all points at a simulator or model bug.
     """
     total = violations = 0
     worst_ratio, worst_detail = -math.inf, "none"
@@ -387,14 +368,14 @@ def rate_bound_check(trials: Iterable[TrialResult]) -> RateBoundReport:
         if tr.peak_intensity is None:
             continue
         total += 1
-        bound = tr.max_degree**2 * math.log(tr.n * tr.config.horizon) ** 4
-        ratio = tr.peak_intensity / bound
+        bound = max(tr.max_degree, 1) ** 2 * math.log(tr.n * tr.config.horizon) ** 4
+        ratio = tr.peak_intensity / bound if bound > 0 else math.inf
         if ratio > worst_ratio:
             worst_ratio = ratio
             worst_detail = (
                 f"seed {tr.seed}: peak {tr.peak_intensity:.4g} vs bound {bound:.4g}"
             )
-        if tr.peak_intensity > bound:
+        if bound <= 0 or tr.peak_intensity > bound:
             violations += 1
     return RateBoundReport(
         trials=total,

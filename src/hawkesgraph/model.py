@@ -285,10 +285,6 @@ class HawkesModel:
             seen[spec] = None
         return tuple(seen)
 
-    def parents(self, i: int) -> tuple[int, ...]:
-        """Sources with a nonzero weight into node i, diagonal included."""
-        return tuple(j for j in range(self.n) if self.weight(i, j) > 0)
-
     def fingerprint(self) -> str:
         """Stable 12-hex-digit digest of all model parameters."""
         parts: list[str] = [f"n={self.n}"]
@@ -321,14 +317,6 @@ class DependencyGraph:
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"bad edge ({i}, {j})")
-
-    def has_edge(self, i: int, j: int) -> bool:
-        a, b = min(i, j), max(i, j)
-        return (a, b) in self.edges
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return tuple(sorted(out))
 
     def restrict(self, observed: Iterable[int]) -> "DependencyGraph":
         """Induced subgraph on the observed nodes, in the ambient index space."""

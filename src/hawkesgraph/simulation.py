@@ -28,14 +28,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .model import _PRUNE_LOG, HawkesModel
 
 __all__ = [
-    "Event",
     "EventLog",
     "simulate",
     "intensity",
@@ -50,11 +48,6 @@ _BLOCK_VALUES = 1 << 18  # values one peak-trace block holds: 2 MB per float64 a
 _BLOCK_EXPONENT = 500.0  # bound on decay * block span: e^500 is far below float64 overflow
 _SAVE_LINES = 1 << 16  # event-file lines formatted and written at once
 _EVENT_ROW = np.dtype([("time", np.float64), ("node", np.int64)])  # one event-file line
-
-
-class Event(NamedTuple):
-    time: float
-    node: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +71,10 @@ class EventLog:
         nodes = np.array(self.nodes, dtype=np.int64)
         if times.shape != nodes.shape or times.ndim != 1:
             raise ValueError("times and nodes must be matching 1-d arrays")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if self.n < 1:
+            raise ValueError("a log needs at least one node")
+        if not 0 < self.horizon < math.inf:  # NaN fails too
+            raise ValueError("horizon must be positive and finite")
         if times.size:
             if not (times.min() >= 0 and times.max() <= self.horizon):  # NaN fails too
                 raise ValueError("event times must lie in [0, horizon]")
@@ -97,10 +92,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def __iter__(self) -> Iterator[Event]:
-        for t, u in zip(self.times, self.nodes):
-            yield Event(float(t), int(u))
 
     def times_of(self, node: int) -> np.ndarray:
         return self.times[self.nodes == node]
@@ -228,8 +219,8 @@ def simulate(model: HawkesModel, horizon: float, seed: int) -> EventLog:
     Identical (model, horizon, seed) inputs reproduce the log bit for bit.
     The caller is responsible for supplying a model that passes validation.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:  # NaN fails too
+        raise ValueError("horizon must be positive and finite")
     times, nodes, _ = _cluster(model, 0.0, horizon, 1, np.random.default_rng(seed))
     return EventLog(n=model.n, horizon=horizon, times=times, nodes=nodes, seed=seed,
                     fingerprint=model.fingerprint())
@@ -397,5 +388,8 @@ def load_events(path: str) -> EventLog:
         raise ValueError(f"{path} is not sorted by (time, node)")
     seed = None if fields["seed"] == "none" else int(fields["seed"])
     fp = None if fields["model"] == "none" else fields["model"]
-    return EventLog(n=int(fields["n"]), horizon=float(fields["horizon"]), times=times,
-                    nodes=nodes, seed=seed, fingerprint=fp)
+    try:
+        return EventLog(n=int(fields["n"]), horizon=float(fields["horizon"]), times=times,
+                        nodes=nodes, seed=seed, fingerprint=fp)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -19,9 +19,6 @@ from hawkesgraph import (
     pair_scores,
     save_graph,
     simulate,
-    suggest_epsilon,
-    theorem_schedule,
-    theorem_threshold,
     window_count,
 )
 from oracles import build_model, reference_calibration
@@ -106,22 +103,6 @@ def test_detect_node_count_and_config_mismatch():
         detect(stale, config)
     with pytest.raises(ValueError, match="detector expects"):
         detect(_table(pair, np.zeros((7, 7)), horizon=31.0), config)
-
-
-def test_theorem_threshold_arithmetic():
-    assert theorem_threshold(0.3, 0.2, 1.5) == pytest.approx(0.3 * 0.2 * 1.5 / 8)
-    with pytest.raises(ValueError):
-        theorem_threshold(0.0, 0.2, 1.5)
-
-
-def test_theorem_schedule_is_astronomical():
-    with pytest.warns(UserWarning, match="proof-driven"):
-        horizon, eps = theorem_schedule(10)
-    assert horizon == pytest.approx(math.log(10) ** 100)
-    assert eps == pytest.approx(math.log(10) ** -17)
-    assert horizon > 1e36
-    with pytest.raises(ValueError):
-        theorem_schedule(2)
 
 
 def test_calibrate_threshold_deterministic_and_positive():
@@ -266,16 +247,6 @@ def test_detect_subset_equals_restricted_full_run():
         detect_subset(log, {0, 5}, config)
 
 
-def test_suggest_epsilon():
-    log = EventLog(n=2, horizon=10.0, times=np.linspace(0.1, 9.9, 50),
-                   nodes=np.array([0, 1] * 25))
-    # busiest node has 25 events over 10 time units
-    assert suggest_epsilon(log, occupancy=0.05) == pytest.approx(0.05 / 2.5)
-    empty = EventLog(n=1, horizon=5.0, times=np.array([]), nodes=np.array([]))
-    with pytest.raises(ValueError):
-        suggest_epsilon(empty)
-
-
 def test_graph_file_roundtrip(tmp_path):
     from hawkesgraph import DependencyGraph
 
@@ -304,4 +275,13 @@ def test_graph_file_names_missing_header_field(tmp_path):
     path = tmp_path / "truncated.txt"
     path.write_text("# hawkesgraph-graph nodes=5 epsilon=0.05\n0 3\n")
     with pytest.raises(ValueError, match=r"truncated\.txt.*'horizon'"):
+        load_graph(str(path))
+
+
+def test_graph_file_names_an_unknown_source(tmp_path):
+    # Older versions could write source=theorem; the closed-form threshold is gone.
+    path = tmp_path / "old.txt"
+    path.write_text("# hawkesgraph-graph nodes=5 epsilon=0.05 horizon=100.0 threshold=0.02 "
+                    "source=theorem use_triples=1\n0 3\n")
+    with pytest.raises(ValueError, match=r"old\.txt: source must be one of .* not 'theorem'"):
         load_graph(str(path))

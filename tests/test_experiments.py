@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import importlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -59,14 +61,12 @@ def test_random_model_sinusoidal_baselines():
         assert 0 < b.amplitude < b.level
 
 
-def test_random_model_infeasible_without_rescale():
+def test_random_model_rescales_overloaded_rows():
     # Guaranteed cross edge at ~0.9 with unit decay forces a row mass > 1.
     ranges = ModelRanges(
         cross_weight=(0.9, 0.95), decay=(1.0, 1.0), edge_probability=1.0
     )
-    with pytest.raises(InfeasibleModelError, match="rescaling disabled"):
-        random_model(2, 1, seed=3, ranges=ranges, rescale=False)
-    model = random_model(2, 1, seed=3, ranges=ranges)  # rescale fixes it
+    model = random_model(2, 1, seed=3, ranges=ranges)
     mass = 1.0  # exponential kernel, decay 1
     rows = model.weight_matrix.sum(axis=1) * mass
     assert rows.max() <= 1.0 - ranges.stability_slack + 1e-12
@@ -91,10 +91,6 @@ def test_planted_model_rescales_overloaded_rows():
     assert model.weight(0, 1) == pytest.approx(0.6)
     assert model.weight(1, 1) == pytest.approx(0.9)
     assert model.weight(0, 1) / model.weight(0, 0) == pytest.approx(0.8 / 1.2)
-    with pytest.raises(InfeasibleModelError, match="rescaling disabled"):
-        planted_model(
-            2, {(0, 1): 0.8, (1, 0): 0.8}, self_weight=1.2, decay=2.0, rescale=False
-        )
 
 
 def test_planted_model_entry_errors():
@@ -208,12 +204,39 @@ def test_rate_bound_check_counts_violations():
     assert "1/2 trials above the rate bound" in str(report)
 
 
+def test_rate_bound_check_floors_the_degree_and_flags_a_zero_bound():
+    # A degree-0 model would give a zero bound; the degree is floored at 1.
+    report = rate_bound_check([_fake_trial(0, 4, 0, 50.0, 2.0)])
+    assert report.violations == 0
+    assert report.worst_ratio == pytest.approx(2.0 / math.log(4 * 50.0) ** 4)
+    # n * T = 1 makes log(n * T)^4 zero: a violation, not a ZeroDivisionError.
+    report = rate_bound_check([_fake_trial(1, 1, 1, 1.0, 2.0)])
+    assert (report.trials, report.violations, report.worst_ratio) == (1, 1, math.inf)
+    assert "seed 1" in report.worst_detail
+
+
 def test_rate_bound_check_empty():
     report = rate_bound_check([])
     assert report.trials == 0
     assert report.violations == 0
     assert report.worst_ratio == 0.0
     assert report.worst_detail == "none"
+
+
+def test_package_exports_exactly_the_layer_names():
+    # bench/tracing.py wraps functions by their module's __all__, so an export
+    # deleted from one place but not the other would go unnoticed there.
+    import hawkesgraph
+
+    layers = ("model", "simulation", "stats", "detect", "expectations", "experiments")
+    declared = set().union(
+        *(importlib.import_module(f"hawkesgraph.{m}").__all__ for m in layers)
+    )
+    public = {
+        name for name, value in vars(hawkesgraph).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == declared
 
 
 def test_trial_seed_is_stable_and_distinct():

@@ -38,7 +38,6 @@ def test_event_log_sorts_and_freezes():
     assert log.times.tolist() == [1.0, 1.0, 3.0]
     assert log.nodes.tolist() == [0, 1, 0]  # time ties break by node
     assert len(log) == 3
-    assert [e.node for e in log] == [0, 1, 0]
     assert log.times_of(0).tolist() == [1.0, 3.0]
     assert log.counts().tolist() == [2, 1]
     with pytest.raises(ValueError):
@@ -89,6 +88,23 @@ def test_event_log_validation():
         EventLog(n=1, horizon=1.0, times=np.array([0.5]), nodes=np.array([1]))
     with pytest.raises(ValueError):
         EventLog(n=1, horizon=1.0, times=np.array([0.5]), nodes=np.array([[0]]))
+
+
+def test_event_log_and_simulate_reject_nonfinite_horizons(tmp_path):
+    # NaN passes a `horizon <= 0` check; simulate would then fail inside numpy.
+    model = build_model(2, {(1, 0): 0.5, (0, 0): 0.7, (1, 1): 0.7}, decay=2.0)
+    empty = np.array([])
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            EventLog(n=1, horizon=bad, times=empty, nodes=empty)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            simulate(model, bad, seed=0)
+    with pytest.raises(ValueError, match="at least one node"):
+        EventLog(n=0, horizon=1.0, times=empty, nodes=empty)
+    path = tmp_path / "nan.log"
+    path.write_text("# hawkesgraph-events n=2 horizon=nan seed=none model=none\n")
+    with pytest.raises(ValueError, match=r"nan\.log: horizon must be positive and finite"):
+        load_events(str(path))
 
 
 def test_simulate_is_deterministic():
@@ -147,7 +163,7 @@ def test_jump_identity():
     )
     log = simulate(model, 10.0, seed=5)
     assert len(log) > 10
-    for t, u in log:
+    for t, u in zip(log.times, log.nodes):
         for v in range(model.n):
             before = intensity(model, log, v, t)
             after = intensity(model, log, v, t, include_events_at_t=True)
