@@ -88,9 +88,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                          f"{args.events} has {log.n} nodes")
     _require_window(args, horizon)
     log = _truncated(log, horizon)
+    # --observed detects on a restricted log: there the grid only calibrates
+    grid = bin_events(log, args.epsilon) if args.calibrate or not args.observed else None
     if args.calibrate:
         threshold = calibrate_threshold(
-            log, args.epsilon, n_surrogates=args.surrogates, seed=args.seed,
+            log, grid, n_surrogates=args.surrogates, seed=args.seed,
             use_triples=not args.no_triples,
         )
         source = "calibrated"
@@ -104,7 +106,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.observed:
         graph = detect_subset(log, args.observed, config)
     else:
-        graph = detect(accumulate_all(bin_events(log, config.epsilon)), config)
+        graph = detect(accumulate_all(grid), config)
     for i, j in graph.sorted_edges:
         print(f"{i} {j}")
     print(f"{len(graph.sorted_edges)} edges among {graph.n} nodes")

@@ -22,6 +22,7 @@ from .model import DependencyGraph
 from .simulation import EventLog
 from .stats import (
     _BLOCK_BYTES,
+    BinGrid,
     PairTable,
     _pack,
     _pair,
@@ -132,7 +133,7 @@ def detect_subset(
 
 def calibrate_threshold(
     log: EventLog,
-    epsilon: float,
+    epsilon: float | BinGrid,
     n_surrogates: int = 50,
     quantile: float = 0.99,
     seed: int = 0,
@@ -149,16 +150,22 @@ def calibrate_threshold(
     two orderings separately would let each cross it at that rate, nearly
     doubling the false-edge rate.)
 
-    The log is packed once.  Each surrogate's shifted events are gathered,
-    with no loop over surrogates, and packed into its row k of one
-    (3, n_surrogates, words) block: consecutive surrogates share one
-    ``_pack`` call as long as their events total at most max(events in the
-    log, _BLOCK_BYTES / 64), so a group's packing stays within about twice
-    the log's memory.  Every surrogate is then scored at once against every
-    node's unchanged packed rows, with the same popcount kernel as
-    ``accumulate_all``; the scores equal those of packing the whole shifted
-    log.
+    The log is packed once, or not at all when epsilon is given as its grid
+    ``bin_events(log, epsilon)``, for a caller that detects on it too.  Each
+    surrogate's shifted events are gathered, with no loop over surrogates,
+    and packed into its row k of one (3, n_surrogates, words) block:
+    consecutive surrogates share one ``_pack`` call as long as their events
+    total at most max(events in the log, _BLOCK_BYTES / 64), so a group's
+    packing stays within about twice the log's memory.  Every surrogate is
+    then scored at once against every node's unchanged packed rows, with the
+    same popcount kernels as ``accumulate_all``; the scores equal those of
+    packing the whole shifted log.
     """
+    grid = epsilon if isinstance(epsilon, BinGrid) else None
+    if grid is not None:
+        epsilon = grid.epsilon
+        if (grid.n, grid.horizon) != (log.n, log.horizon):
+            raise ValueError("the grid was not binned from this log")
     if not 0 < quantile < 1:
         raise ValueError("quantile must lie in (0, 1)")
     if n_surrogates < 1:
@@ -169,7 +176,9 @@ def calibrate_threshold(
         raise ValueError("calibration needs at least two nodes to pair")
     if window_count(log.horizon, epsilon) < 1:
         raise ValueError("horizon must cover at least one window (3 * epsilon)")
-    occupancy = bin_events(log, epsilon).occupancy
+    if grid is None:
+        grid = bin_events(log, epsilon)
+    occupancy = grid.occupancy
     offsets = np.random.default_rng(seed).uniform(0.0, log.horizon, size=n_surrogates)
     shifted_node = np.arange(n_surrogates) % log.n
     block = np.empty((3, n_surrogates, occupancy.shape[2]), dtype=np.uint64)

@@ -301,16 +301,16 @@ def run_trial(
     """
     start = time.perf_counter()
     log = simulate(model, config.horizon, seed)
+    grid = bin_events(log, config.epsilon)
     if calibrate:
         threshold = calibrate_threshold(
             log,
-            config.epsilon,
+            grid,
             n_surrogates=n_surrogates,
             seed=child_seed(seed, 1),
             use_triples=config.use_triples,
         )
         config = replace(config, threshold=threshold, source="calibrated")
-    grid = bin_events(log, config.epsilon)
     recovered = detect(accumulate_all(grid), config)
     truth = true_graph(model)
     fp = tuple(sorted(recovered.edges - truth.edges))

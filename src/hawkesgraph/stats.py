@@ -12,7 +12,7 @@ at bins 0, 3, 6, ... yield two signed counts per ordered pair (i, j):
 Sums of these over all complete windows, held as two (n, n) arrays in a
 PairTable, drive edge detection.
 
-All pair and triple sums come from one exact integer kernel.  The
+All pair and triple sums come from exact integer popcount kernels.  The
 exactly-one occupancy rows B0, B1, B2 (bins 0, 1, 2 of each window) are
 packed straight from the events by _pack: a (bin, row) key held by exactly
 one event, in a complete window, sets that window's bit in zero-padded
@@ -22,16 +22,37 @@ words, so that
   pair   = C(B0, B1) - C(B1, B0)
   triple = C(B0&B1, B2) - 2*C(B0&B2, B1) + C(B1&B2, B0).
 
+The two terms take different loops because their left operands differ in
+density, a property of the statistic rather than a tuning choice.  A bin
+holds exactly one event with some probability p, so a packed word of B0 is
+nonzero unless all of its 64 windows miss: 81-93% of B0's words were
+nonzero on every log shape measured (see BENCH_kernel.json), and the pair
+term's _cooccur ANDs, popcounts and sums every word.  The triple's left
+operands are ANDs of two planes, about p^2 dense per bit, with 9-24% of
+their words nonzero; _sparse_cooccur visits only those.  For each nonzero
+word of x it gathers that word of every row of y, ANDs and popcounts, and
+sums each x-row's run of words with np.add.reduceat.  On B0 the gather would
+cost more than the zero words it skips: routing the pair term through it
+too was slower on every chains log measured.
+
 The packed grid of an n-node log holds 3 * n * ceil(W / 64) words, a block
 of S calibration surrogates 3 * S * ceil(W / 64); nothing of size (rows,
 bins) is built.  Packing adds at most three int64 arrays of one entry per
-event.  Calibration packs its surrogates in groups of at most max(events in
-the log, _BLOCK_BYTES / 64) gathered events, each group with its shifted
-times and rows alive, so its peak stays within about twice the packed log's.
-C is evaluated in blocks of x-rows whose (rows, rows of y, words) uint64
+event, then four times the packed bytes in half-word sums.  Calibration
+packs its surrogates in groups of at most max(events in the log,
+_BLOCK_BYTES / 64) gathered events, each group with its shifted times and
+rows alive, so its peak stays within about twice the packed log's.
+_cooccur runs in blocks of x-rows whose (rows, rows of y, words) uint64
 intermediate stays within _BLOCK_BYTES (16 MiB), or one row at a time when a
-single row exceeds it.  With its uint8 popcounts a block holds at most
-1.125 * max(_BLOCK_BYTES, bytes of y).  The counts are exact for any W.
+single row exceeds it; with its uint8 popcounts a block holds at most 1.125
+* max(_BLOCK_BYTES, bytes of y).  _sparse_cooccur gathers in chunks of
+nonzero words whose (rows of y, words) uint64 block, with two int64 run
+indices per word, stays within _BLOCK_BYTES, or one word at a time when
+one exceeds it; a chunk holds its block and popcounts, then the popcounts,
+the indices and the chunk's int64 row sums (no larger than the block), so
+at most 1.125 * max(_BLOCK_BYTES, 8 * rows of y + 16).  Before its chunks
+it holds up to four 8-byte arrays of one entry per nonzero word of x, and
+three of them throughout.  The counts are exact for any W.
 """
 
 from __future__ import annotations
@@ -57,7 +78,8 @@ __all__ = [
 ]
 
 _SNAP = 1e-9  # relative tolerance for float quotients that should be integers
-_BLOCK_BYTES = 1 << 24  # cap on the uint64 intermediate of one _cooccur block
+_BLOCK_BYTES = 1 << 24  # cap on the uint64 intermediate of one kernel block
+_BIT_VALUES = np.ldexp(1.0, np.arange(32))  # float64 2**k, k < 32
 
 
 def bin_count(horizon: float, epsilon: float) -> int:
@@ -116,7 +138,7 @@ def _pack(
     """(3, n_rows, ceil(W / 64)) uint64 exactly-one occupancy of window bins
     0, 1, 2, for events at times on rows in [0, n_rows)."""
     w = window_count(horizon, epsilon)
-    occ = np.zeros((3, n_rows, -(-w // 64)), dtype=np.uint64)
+    shape = (3, n_rows, -(-w // 64))
     keys = _bin_index(times, epsilon, bin_count(horizon, epsilon))
     keys *= n_rows
     keys += rows
@@ -129,13 +151,23 @@ def _pack(
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:-1])
     single = keys[fresh[:-1] & fresh[1:]]
     del keys, fresh  # free each per-event array as soon as it is spent
-    window, plane_row = np.divmod(single, 3 * n_rows)
+    window = single // (3 * n_rows)
+    half = single  # turned in place into the key's half-word of the output
+    half -= window * (3 * n_rows)  # plane * n_rows + row
+    half *= 2 * shape[2]
+    half += window >> 5
     del single
-    bit = window.astype(np.uint64)
-    bit &= np.uint64(63)
-    np.left_shift(np.uint64(1), bit, out=bit)
-    window >>= 6
-    np.bitwise_or.at(occ.reshape(3 * n_rows, -1), (plane_row, window), bit)
+    # a word's bits are distinct, so their OR is their sum, and float64 sums
+    # each 32-bit half of it exactly: bincount the bits into half-words
+    window &= 31
+    bits = _BIT_VALUES[window]
+    del window
+    counts = np.bincount(half, bits, minlength=2 * math.prod(shape))
+    del half, bits
+    halves = counts.astype(np.uint64).reshape(shape + (2,))
+    del counts
+    occ = halves[..., 1] << np.uint64(32)
+    occ |= halves[..., 0]
     return occ
 
 
@@ -228,6 +260,34 @@ def _cooccur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for lo in range(0, x.shape[0], step):
         block = x[lo : lo + step, None, :] & y[None, :, :]
         out[lo : lo + step] = np.bitwise_count(block).sum(axis=2, dtype=np.int64)
+        del block  # before the next one is built
+    return out
+
+
+def _sparse_cooccur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_cooccur(x, y), visiting only the nonzero words of x."""
+    out = np.zeros((x.shape[0], y.shape[0]), dtype=np.int64)
+    # row-major, so each row's words form one run; a bool mask first, as
+    # np.flatnonzero on uint64 words takes about three times as long
+    nonzero = np.flatnonzero(x != 0)
+    rows = nonzero // x.shape[1]
+    words = nonzero - rows * x.shape[1]
+    bits = x.reshape(-1)[nonzero]
+    del nonzero
+    step = max(1, _BLOCK_BYTES // (8 * y.shape[0] + 16))  # block, r's diff, starts
+    for lo in range(0, rows.size, step):
+        r = rows[lo : lo + step]
+        # (rows of y, words): the AND and popcount run along the long axis
+        block = np.take(y, words[lo : lo + step], axis=1)
+        block &= bits[lo : lo + step]
+        counts = np.bitwise_count(block)
+        del block  # a chunk holds its words or its run sums, not both
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        runs = np.add.reduceat(counts, starts, axis=1, dtype=np.int64)
+        del counts
+        runs[:, 0] += out[r[0]]  # the previous chunk may have ended inside row r[0]
+        out[r[starts]] = runs.T
+        del runs
     return out
 
 
@@ -242,7 +302,11 @@ def _triple(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Triple window sums of every row of x as i against every row of y as j."""
     x0, x1, x2 = x
     y0, y1, y2 = y
-    return _cooccur(x0 & x1, y2) - 2 * _cooccur(x0 & x2, y1) + _cooccur(x1 & x2, y0)
+    return (
+        _sparse_cooccur(x0 & x1, y2)
+        - 2 * _sparse_cooccur(x0 & x2, y1)
+        + _sparse_cooccur(x1 & x2, y0)
+    )
 
 
 def accumulate_all(grid: BinGrid) -> PairTable:

@@ -114,6 +114,8 @@ def test_calibrate_threshold_deterministic_and_positive():
     assert a == b
     assert a != c
     assert a > 0
+    # the log's own grid in place of epsilon: the same draws and scores
+    assert calibrate_threshold(log, bin_events(log, 0.1), n_surrogates=10, seed=4) == a
     lower_q = calibrate_threshold(log, 0.1, n_surrogates=10, seed=4, quantile=0.5)
     assert lower_q <= a
 
@@ -136,6 +138,9 @@ def test_calibrate_threshold_validation():
         calibrate_threshold(short, 0.5)
     with pytest.raises(ValueError, match="must be positive"):
         calibrate_threshold(short, 0.0)
+    with pytest.raises(ValueError, match="not binned from this log"):
+        calibrate_threshold(short, bin_events(EventLog(n=3, horizon=2.0, times=short.times,
+                                                       nodes=short.nodes), 0.1))
 
 
 @pytest.mark.parametrize("use_triples", [True, False])
@@ -171,6 +176,11 @@ def test_calibrate_threshold_equals_reference(use_triples, monkeypatch):
                               use_triples=use_triples)
     starts = np.cumsum(group_sizes) - group_sizes
     assert sum(group_sizes) == 11 and len(starts) > 2 and np.any(starts % 3)
+    assert got == reference_calibration(log, 0.1, 11, 0.9, 3, use_triples)
+    # a one-byte kernel budget: blocks of one row, chunks of one nonzero word
+    monkeypatch.setattr(importlib.import_module("hawkesgraph.stats"), "_BLOCK_BYTES", 1)
+    got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=0.9, seed=3,
+                              use_triples=use_triples)
     assert got == reference_calibration(log, 0.1, 11, 0.9, 3, use_triples)
     # node 0's event at T - offset lands exactly on T under surrogate 0's
     # shift and wraps to bin 0, next to node 1's event in bin 1; left at T

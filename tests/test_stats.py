@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,13 +183,52 @@ def test_accumulate_all_is_independent_of_row_blocking(monkeypatch):
 
     rng = np.random.default_rng(37)
     log = _uniform_log(rng, n=7, horizon=25.0, events=500)
+    # node 3 holds one event in bin 0 of every other window, never two in
+    # consecutive bins, so its rows of the triple's AND planes are all zero
+    lone = (6 * np.arange(42) + 0.5) * 0.1
+    log = EventLog(n=8, horizon=25.0, times=np.concatenate([log.times, lone]),
+                   nodes=np.concatenate([log.nodes + (log.nodes >= 3), np.full(42, 3)]))
     grid = bin_events(log, 0.1)
+    assert not np.any(grid.occupancy[0, 3] & grid.occupancy[1:, 3])
     whole = accumulate_all(grid)
-    # one packed row set of 7 nodes x 2 words is 112 bytes: blocks of one
-    # row, then of three rows with a shorter last block
-    for budget in (1, 3 * 112):
+    s = whole[(3, 0)]
+    assert (s.pair_sum, s.triple_sum, s.windows) == naive_pair_stats(log, 3, 0, 0.1)
+    # one packed row set of 8 nodes x 2 words is 128 bytes, and one word of
+    # every row with its two run indices 80: blocks of one row and chunks of
+    # one nonzero word, then chunks of 3 and 5 words that split rows' runs of
+    # words between them, then blocks of three rows with a shorter last block
+    for budget in (1, 3 * 80, 5 * 80, 3 * 128):
         monkeypatch.setattr(stats_module, "_BLOCK_BYTES", budget)
         assert accumulate_all(grid) == whole
+    # node 0 fires in bin 0 and node 1 in bin 1 of every other window: the
+    # pair term counts them, and every AND plane is all zero
+    starts = 6 * np.arange(42)
+    spaced = EventLog(n=2, horizon=25.0, times=np.concatenate([starts + 0.5, starts + 1.5]) * 0.1,
+                      nodes=np.repeat([0, 1], 42))
+    s = accumulate_all(bin_events(spaced, 0.1))[(0, 1)]
+    assert (s.pair_sum, s.triple_sum, s.windows) == naive_pair_stats(spaced, 0, 1, 0.1)
+    assert (s.pair_sum, s.triple_sum) == (42, 0)
+
+
+def test_triple_gather_memory_is_bounded():
+    # every node fires in bins 0 and 1 of the first window of each packed
+    # word, so every word of the AND plane B0&B1 is nonzero: gathered in one
+    # go, its 32,768 nonzero words of the 256 rows of B2 would take 64 MiB
+    n, words, eps = 256, 128, 0.125
+    first = 3 * 64 * np.arange(words)
+    times = np.concatenate([first + 0.5, first + 1.5]) * eps
+    log = EventLog(n=n, horizon=3 * 64 * words * eps, times=np.tile(times, n),
+                   nodes=np.repeat(np.arange(n), 2 * words))
+    grid = bin_events(log, eps)
+    assert grid.occupancy.shape == (3, n, words)
+    assert np.all(grid.occupancy[0] & grid.occupancy[1])
+    tracemalloc.start()
+    try:
+        accumulate_all(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000_000
 
 
 def test_pair_sum_antisymmetry():
