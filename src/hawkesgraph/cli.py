@@ -11,7 +11,7 @@ import argparse
 import sys
 from collections.abc import Callable
 
-from .detect import DetectorConfig, calibrate_threshold, detect, detect_subset, save_graph
+from .detect import DetectorConfig, _observed_only, calibrate_threshold, detect, save_graph
 from .expectations import _PATTERNS, _read_histogram, _resolve_prefix, within_envelope
 from .experiments import random_model, rate_bound_check, run_trial, sweep
 from .model import load_model, validate_model
@@ -86,13 +86,17 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.observed and args.observed[-1] >= log.n:
         args.usage_error(f"--observed node {args.observed[-1]} is out of range: "
                          f"{args.events} has {log.n} nodes")
+    if args.observed and args.calibrate and len(args.observed) < 2:
+        args.usage_error("--calibrate needs at least two --observed nodes to pair")
     _require_window(args, horizon)
     log = _truncated(log, horizon)
-    # --observed detects on a restricted log: there the grid only calibrates
-    grid = bin_events(log, args.epsilon) if args.calibrate or not args.observed else None
+    # --observed acts as if only the observed nodes were recorded: their
+    # events alone, renumbered, are calibrated and detected on
+    sub, ambient = _observed_only(log, args.observed) if args.observed else (log, lambda g: g)
+    grid = bin_events(sub, args.epsilon)
     if args.calibrate:
         threshold = calibrate_threshold(
-            log, grid, n_surrogates=args.surrogates, seed=args.seed,
+            sub, grid, n_surrogates=args.surrogates, seed=args.seed,
             use_triples=not args.no_triples,
         )
         source = "calibrated"
@@ -103,10 +107,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         epsilon=args.epsilon, horizon=horizon, threshold=threshold,
         source=source, use_triples=not args.no_triples,
     )
-    if args.observed:
-        graph = detect_subset(log, args.observed, config)
-    else:
-        graph = detect(accumulate_all(grid), config)
+    graph = ambient(detect(accumulate_all(grid), config))
     for i, j in graph.sorted_edges:
         print(f"{i} {j}")
     print(f"{len(graph.sorted_edges)} edges among {graph.n} nodes")

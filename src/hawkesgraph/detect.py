@@ -14,12 +14,13 @@ preserves each node's marginal stream while destroying cross-correlation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DependencyGraph
-from .simulation import EventLog
+from .simulation import EventLog, _header_fields
 from .stats import (
     _BLOCK_BYTES,
     BinGrid,
@@ -113,22 +114,31 @@ def detect_subset(
     bit-identical to the restriction of a full-network run with the same
     config.  The graph lives in the ambient index space of the log.
     """
-    observed = frozenset(observed)
-    if not observed:
+    sub, ambient = _observed_only(log, observed)
+    return ambient(detect(accumulate_all(bin_events(sub, config.epsilon)), config))
+
+
+def _observed_only(
+    log: EventLog, observed: Iterable[int]
+) -> tuple[EventLog, Callable[[DependencyGraph], DependencyGraph]]:
+    """The observed nodes' events alone, renumbered 0..k-1 in index order,
+    and the map of a graph on them back to the log's node indices."""
+    nodes = sorted(set(observed))
+    if not nodes:
         raise ValueError("observed set must be nonempty")
-    if any(not 0 <= v < log.n for v in observed):
+    if nodes[0] < 0 or nodes[-1] >= log.n:
         raise ValueError("observed nodes out of range")
-    keep = np.isin(log.nodes, sorted(observed))
-    sub = EventLog(
-        n=log.n,
-        horizon=log.horizon,
-        times=log.times[keep],
-        nodes=log.nodes[keep],
-        fingerprint=log.fingerprint,
-    )
-    # Unobserved nodes have no events left, so every sum involving them is 0
-    # and, with a positive threshold, can never make an edge.
-    return detect(accumulate_all(bin_events(sub, config.epsilon)), config)
+    index = np.full(log.n, -1)
+    index[nodes] = np.arange(len(nodes))
+    renumbered = index[log.nodes]
+    keep = renumbered >= 0  # renumbering keeps the (time, node) order
+    sub = EventLog(n=len(nodes), horizon=log.horizon, times=log.times[keep],
+                   nodes=renumbered[keep])
+
+    def ambient(graph: DependencyGraph) -> DependencyGraph:
+        return DependencyGraph(log.n, frozenset((nodes[a], nodes[b]) for a, b in graph.edges))
+
+    return sub, ambient
 
 
 def calibrate_threshold(
@@ -151,7 +161,8 @@ def calibrate_threshold(
     doubling the false-edge rate.)
 
     The log is packed once, or not at all when epsilon is given as its grid
-    ``bin_events(log, epsilon)``, for a caller that detects on it too.  Each
+    ``bin_events(log, epsilon)``, for a caller that detects on it too; a
+    grid binned from any other log is rejected.  Each
     surrogate's shifted events are gathered, with no loop over surrogates,
     and packed into its row k of one (3, n_surrogates, words) block:
     consecutive surrogates share one ``_pack`` call as long as their events
@@ -164,7 +175,7 @@ def calibrate_threshold(
     grid = epsilon if isinstance(epsilon, BinGrid) else None
     if grid is not None:
         epsilon = grid.epsilon
-        if (grid.n, grid.horizon) != (log.n, log.horizon):
+        if grid.log is not log:
             raise ValueError("the grid was not binned from this log")
     if not 0 < quantile < 1:
         raise ValueError("quantile must lie in (0, 1)")
@@ -192,12 +203,13 @@ def calibrate_threshold(
         block[:, lo:hi] = _pack(times, rows, hi - lo, epsilon, log.horizon)
         del times, rows  # before the next group is gathered, or scoring
         lo = hi
-    pair = _pair(block, occupancy)
-    as_i = _scores(pair, _triple(block, occupancy), epsilon, log.horizon, use_triples)
-    # the j-ordering's pair sum is the negated i-ordering's: same magnitude
-    as_j = _scores(pair, _triple(occupancy, block).T, epsilon, log.horizon, use_triples)
+    # The j-ordering's pair sum is the negated i-ordering's, of the same
+    # magnitude, and rounding is monotone: the larger triple magnitude gives
+    # the larger of the two orderings' scores bit for bit.
+    triple = np.maximum(np.abs(_triple(block, occupancy)), np.abs(_triple(occupancy, block).T))
+    scores = _scores(_pair(block, occupancy), triple, epsilon, log.horizon, use_triples)
     others = np.arange(log.n) != shifted_node[:, None]
-    return float(np.quantile(np.maximum(as_i, as_j)[others], quantile))
+    return float(np.quantile(scores[others], quantile))
 
 
 def _shifted_events(
@@ -241,26 +253,29 @@ def load_graph(path: str) -> tuple[DependencyGraph, DetectorConfig]:
         header = fh.readline().strip()
         if not header.startswith("# hawkesgraph-graph "):
             raise ValueError(f"{path} is not a graph file")
-        fields = dict(part.split("=", 1) for part in header[2:].split()[1:])
         required = ("nodes", "epsilon", "horizon", "threshold", "source")
-        missing = [f for f in required if f not in fields]
-        if missing:
-            raise ValueError(f"{path}: graph header lacks the field {missing[0]!r}")
+        fields = _header_fields(header, path, "graph", required)
+        try:
+            n = int(fields["nodes"])
+            config = DetectorConfig(
+                epsilon=float(fields["epsilon"]),
+                horizon=float(fields["horizon"]),
+                threshold=float(fields["threshold"]),
+                source=fields["source"],
+                use_triples=bool(int(fields.get("use_triples", 1))),
+            )
+        except ValueError as exc:  # e.g. source=theorem, which older versions wrote
+            raise ValueError(f"{path}: {exc}") from exc
         edges = set()
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            i, j = line.split()
-            edges.add((int(i), int(j)))
-    graph = DependencyGraph(int(fields["nodes"]), frozenset(edges))
-    try:
-        config = DetectorConfig(
-            epsilon=float(fields["epsilon"]),
-            horizon=float(fields["horizon"]),
-            threshold=float(fields["threshold"]),
-            source=fields["source"],
-            use_triples=bool(int(fields.get("use_triples", 1))),
-        )
-    except ValueError as exc:  # e.g. source=theorem, which older versions wrote
-        raise ValueError(f"{path}: {exc}") from exc
-    return graph, config
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                i = j = -1
+            if not 0 <= i < j < n:
+                raise ValueError(f"{path}, line {number}: {line.strip()!r} is not an "
+                                 f"edge 'i j' with 0 <= i < j < {n}")
+            edges.add((i, j))
+    return DependencyGraph(n, frozenset(edges)), config

@@ -103,8 +103,7 @@ def _declared_constants(
     gap = min(weights.get((i, i), 0.0) - top[i] for i in range(n)) if n > 1 else math.inf
     slope = 0.0
     for b in baselines:
-        if b.family == "sinusoidal":
-            slope = max(slope, abs(b.amplitude) * b.frequency / b.floor())
+        slope = max(slope, abs(b.amplitude) * b.frequency / b.floor())
     slope = max(slope, kernel.rate_cap())
     worst_row = float(rows.max())
     return ModelConstants(

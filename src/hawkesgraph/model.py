@@ -41,11 +41,12 @@ _MAX_VALUES = 1 << 20  # integrand values (8 MB) per array of KernelSpec.integra
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """Deterministic baseline rate of one node.
+    """Deterministic baseline rate of one node,
+    rate(t) = level + amplitude * sin(frequency * t + phase).
 
-    ``constant``: rate(t) = level.
-    ``sinusoidal``: rate(t) = level + amplitude * sin(frequency * t + phase),
-    which stays positive when level > |amplitude|.
+    The family says which fields may be nonzero: a ``constant`` baseline has
+    amplitude, frequency and phase 0, so its rate is level.  A
+    ``sinusoidal`` one needs level > |amplitude| to stay positive.
     """
 
     family: str
@@ -59,39 +60,36 @@ class BaselineSpec:
             raise ValueError(f"unknown baseline family {self.family!r}")
         if self.level <= 0:
             raise ValueError("baseline level must be positive")
-        if self.family == "sinusoidal" and abs(self.amplitude) >= self.level:
+        if self.family == "constant" and (self.amplitude or self.frequency or self.phase):
+            raise ValueError("constant baseline needs amplitude, frequency and phase 0")
+        if abs(self.amplitude) >= self.level:
             raise ValueError("sinusoidal baseline needs level > |amplitude|")
 
     def value(self, t):
         """Rate at time t (scalar or ndarray). Rejects negative scalar t."""
         if np.isscalar(t) and t < 0:
             raise ValueError("baseline evaluated at negative time")
-        if self.family == "constant":
-            return self.level if np.isscalar(t) else np.full_like(np.asarray(t, float), self.level)
         return self.level + self.amplitude * np.sin(self.frequency * np.asarray(t) + self.phase)
 
     def floor(self) -> float:
         """Infimum of the rate over all times."""
-        if self.family == "constant":
-            return self.level
         return self.level - abs(self.amplitude)
 
     def cap(self) -> float:
         """Supremum of the rate over all times."""
-        if self.family == "constant":
-            return self.level
         return self.level + abs(self.amplitude)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Delay kernel phi(t, s) for an event at time s observed at time t >= s.
+    """Delay kernel phi(t, s) = exp(-rate(s) * (t - s)) for an event at time s
+    observed at time t >= s, with the decay rate fixed at the event time,
+    rate(s) = decay + decay_amplitude * sin(decay_frequency * s).
 
-    ``exponential``: phi(t, s) = exp(-decay * (t - s)).
-    ``modulated``: the decay rate depends on the event time,
-    rate(s) = decay + decay_amplitude * sin(decay_frequency * s) and
-    phi(t, s) = exp(-rate(s) * (t - s)).  Requires decay > |decay_amplitude| > 0
-    so the rate never vanishes.  Both families satisfy phi(s, s) = 1 exactly.
+    The family says which fields may be nonzero: an ``exponential`` kernel
+    has decay_amplitude and decay_frequency 0, so phi(t, s) = exp(-decay *
+    (t - s)).  A ``modulated`` one needs decay > |decay_amplitude| > 0 so the
+    rate never vanishes.  Both satisfy phi(s, s) = 1 exactly.
     """
 
     family: str
@@ -104,24 +102,20 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.decay <= 0:
             raise ValueError("kernel decay must be positive")
-        if self.family == "modulated":
-            if not (0 < abs(self.decay_amplitude) < self.decay):
-                raise ValueError("modulated kernel needs decay > |decay_amplitude| > 0")
+        if self.family == "exponential":
+            if self.decay_amplitude or self.decay_frequency:
+                raise ValueError("exponential kernel needs decay_amplitude and decay_frequency 0")
+        elif not 0 < abs(self.decay_amplitude) < self.decay:
+            raise ValueError("modulated kernel needs decay > |decay_amplitude| > 0")
 
     def rate(self, s):
         """Decay rate applied to an event at time s."""
-        if self.family == "exponential":
-            return self.decay if np.isscalar(s) else np.full_like(np.asarray(s, float), self.decay)
         return self.decay + self.decay_amplitude * np.sin(self.decay_frequency * np.asarray(s))
 
     def rate_floor(self) -> float:
-        if self.family == "exponential":
-            return self.decay
         return self.decay - abs(self.decay_amplitude)
 
     def rate_cap(self) -> float:
-        if self.family == "exponential":
-            return self.decay
         return self.decay + abs(self.decay_amplitude)
 
     def value(self, t, s):
@@ -388,7 +382,7 @@ def _kernel_supremum(spec: KernelSpec, horizon: float) -> float:
     min(period / 64, 1 / (4 rate_cap)) apart scan [max(0, horizon - period),
     horizon], and 9-probe grids, each a quarter as wide, refine every local maximum.
     """
-    if spec.family == "exponential" or spec.decay_frequency == 0:
+    if spec.decay_frequency == 0:
         return spec.integral(horizon)
     period = 2.0 * math.pi / abs(spec.decay_frequency)
     start = max(0.0, horizon - period)
@@ -433,10 +427,9 @@ def _check_smoothness(model: HawkesModel) -> AssumptionCheck:
     bound = model.constants.log_slope_bound
     worst_sup, worst_where = 0.0, "none"
     for i, b in enumerate(model.baselines):
-        if b.family == "sinusoidal":
-            sup = abs(b.amplitude * b.frequency) / math.sqrt(b.level**2 - b.amplitude**2)
-            if sup > worst_sup:
-                worst_sup, worst_where = sup, f"baseline {i}"
+        sup = abs(b.amplitude * b.frequency) / math.sqrt(b.level**2 - b.amplitude**2)
+        if sup > worst_sup:
+            worst_sup, worst_where = sup, f"baseline {i}"
     for spec in model.distinct_kernels:
         if spec.rate_cap() > worst_sup:
             worst_sup, worst_where = spec.rate_cap(), f"{spec.family} kernel rate cap"
@@ -600,14 +593,15 @@ def load_model(path: str) -> HawkesModel:
             for o in doc.get("kernel_overrides", [])
         }
         weights = {(int(i), int(j)): float(w) for i, j, w in doc["weights"]}
-        default_kernel = _kernel_from_dict(doc["default_kernel"])
+        return HawkesModel(
+            n=n,
+            weights=weights,
+            baselines=baselines,
+            default_kernel=_kernel_from_dict(doc["default_kernel"]),
+            constants=constants,
+            kernel_overrides=overrides,
+        )
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks {exc.args[0]!r}") from exc
-    return HawkesModel(
-        n=n,
-        weights=weights,
-        baselines=baselines,
-        default_kernel=default_kernel,
-        constants=constants,
-        kernel_overrides=overrides,
-    )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -118,25 +118,24 @@ def _in_order(times: np.ndarray, nodes: np.ndarray) -> bool:
 def _edges(model: HawkesModel) -> tuple[np.ndarray, ...]:
     """The model's excitation edges (source j -> target i, weight > 0) as flat
     arrays sorted by (source, target): source, target, weight, and the
-    kernel rate r(s) = decay + swing * sin(pace * s) as decay, swing, pace,
-    with swing 0 for exponential kernels."""
+    kernel rate r(s) = decay + swing * sin(pace * s) as decay, swing, pace."""
     pairs = sorted((j, i) for (i, j), w in model.weights.items() if w > 0)
     kernels = [model.kernel(i, j) for j, i in pairs]
     source = np.array([j for j, _ in pairs], dtype=np.int64)
     target = np.array([i for _, i in pairs], dtype=np.int64)
     weight = np.array([model.weight(i, j) for j, i in pairs])
     decay = np.array([k.decay for k in kernels])
-    swing = np.array([k.decay_amplitude if k.family == "modulated" else 0.0 for k in kernels])
+    swing = np.array([k.decay_amplitude for k in kernels])
     pace = np.array([k.decay_frequency for k in kernels])
     return source, target, weight, decay, swing, pace
 
 
 def _baselines(model: HawkesModel) -> tuple[np.ndarray, ...]:
     """Per-node baselines mu(t) = level + amp * sin(freq * t + phase) as flat
-    arrays (level, amp, freq, phase), with amp 0 for constant baselines."""
+    arrays (level, amp, freq, phase)."""
     base = model.baselines
     level = np.array([b.level for b in base])
-    amp = np.array([b.amplitude if b.family == "sinusoidal" else 0.0 for b in base])
+    amp = np.array([b.amplitude for b in base])
     freq = np.array([b.frequency for b in base])
     phase = np.array([b.phase for b in base])
     return level, amp, freq, phase
@@ -366,15 +365,30 @@ def save_events(log: EventLog, path: str) -> None:
             fh.write("".join(f"{t!r} {u}\n" for t, u in rows))
 
 
+def _header_fields(
+    header: str, path: str, kind: str, required: tuple[str, ...]
+) -> dict[str, str]:
+    """The key=value tokens after the tag of a "# tag key=value ..." header
+    line, which must hold every required key; errors name the path and the
+    kind of file."""
+    fields = {}
+    for token in header.split()[2:]:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: {kind} header token {token!r} is not key=value")
+        fields[key] = value
+    missing = [f for f in required if f not in fields]
+    if missing:
+        raise ValueError(f"{path}: {kind} header lacks the field {missing[0]!r}")
+    return fields
+
+
 def load_events(path: str) -> EventLog:
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# hawkesgraph-events "):
             raise ValueError(f"{path} is not an event-log file")
-        fields = dict(part.split("=", 1) for part in header[2:].split()[1:])
-        missing = [f for f in ("n", "horizon", "seed", "model") if f not in fields]
-        if missing:
-            raise ValueError(f"{path}: event-log header lacks the field {missing[0]!r}")
+        fields = _header_fields(header, path, "event-log", ("n", "horizon", "seed", "model"))
         body = fh.read()
     if body.strip():
         try:
@@ -386,9 +400,9 @@ def load_events(path: str) -> EventLog:
     times, nodes = rows["time"], rows["node"]
     if not _in_order(times, nodes):
         raise ValueError(f"{path} is not sorted by (time, node)")
-    seed = None if fields["seed"] == "none" else int(fields["seed"])
     fp = None if fields["model"] == "none" else fields["model"]
     try:
+        seed = None if fields["seed"] == "none" else int(fields["seed"])
         return EventLog(n=int(fields["n"]), horizon=float(fields["horizon"]), times=times,
                         nodes=nodes, seed=seed, fingerprint=fp)
     except ValueError as exc:

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import ItemsView, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -108,12 +108,14 @@ class BinGrid:
     """Exactly-one window occupancy of every node, packed by _pack.
 
     occupancy has shape (3, n, ceil(W / 64)): plane r, row v has the bit of
-    window w set when bin 3w + r holds exactly one event of node v.
+    window w set when bin 3w + r holds exactly one event of node v.  ``log``
+    is the log it was binned from.
     """
 
     epsilon: float
     horizon: float
     occupancy: np.ndarray
+    log: EventLog = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -174,7 +176,7 @@ def _pack(
 def bin_events(log: EventLog, epsilon: float) -> BinGrid:
     occupancy = _pack(log.times, log.nodes, log.n, epsilon, log.horizon)
     occupancy.flags.writeable = False
-    return BinGrid(epsilon=epsilon, horizon=log.horizon, occupancy=occupancy)
+    return BinGrid(epsilon=epsilon, horizon=log.horizon, occupancy=occupancy, log=log)
 
 
 class PairStatistics(NamedTuple):

@@ -3,8 +3,8 @@ import yaml
 from oracles import build_model
 
 from hawkesgraph import (
-    expectations, load_events, load_graph, mc_delta_drift, mc_indicator, save_events, save_model,
-    simulate,
+    EventLog, calibrate_threshold, expectations, load_events, load_graph, mc_delta_drift,
+    mc_indicator, save_events, save_model, simulate,
 )
 from hawkesgraph.cli import main
 
@@ -88,6 +88,35 @@ def test_detect_command_observed_subset(chain, capsys):
     out = capsys.readouterr().out
     assert "edges among 3 nodes" in out
     assert "0 1" not in out  # node 1 is unobserved
+
+
+def test_detect_command_observed_calibrates_on_observed_nodes(chain, tmp_path, capsys):
+    _, _, events_path = chain
+    log = load_events(events_path)
+    # the same log without node 1's events, and its observed nodes renumbered
+    kept = log.nodes != 1
+    unobserved_gone = EventLog(n=3, horizon=log.horizon, times=log.times[kept],
+                               nodes=log.nodes[kept])
+    save_events(unobserved_gone, tmp_path / "without1.txt")
+    renumbered = EventLog(n=2, horizon=log.horizon, times=log.times[kept],
+                          nodes=log.nodes[kept] // 2)
+    thresholds = []
+    for events in (events_path, str(tmp_path / "without1.txt")):
+        out = tmp_path / "graph.txt"
+        assert main(["detect", "--events", events, "--epsilon", "0.1", "--calibrate",
+                     "--surrogates", "10", "--seed", "5", "--observed", "0,2",
+                     "--out", str(out)]) == 0
+        graph, config = load_graph(out)
+        assert graph.n == 3 and all(1 not in edge for edge in graph.edges)
+        thresholds.append(config.threshold)
+    assert thresholds[0] == thresholds[1] == calibrate_threshold(
+        renumbered, 0.1, n_surrogates=10, seed=5)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--events", events_path, "--epsilon", "0.1", "--calibrate",
+              "--observed", "2"])
+    assert exit_info.value.code == 2
+    assert "two --observed nodes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", [["--threshold", "0.05"], ["--calibrate", "--surrogates", "4"]])

@@ -141,6 +141,10 @@ def test_calibrate_threshold_validation():
     with pytest.raises(ValueError, match="not binned from this log"):
         calibrate_threshold(short, bin_events(EventLog(n=3, horizon=2.0, times=short.times,
                                                        nodes=short.nodes), 0.1))
+    # another log of the same n and horizon: its grid would calibrate on its events
+    other = EventLog(n=3, horizon=1.0, times=np.array([0.2, 0.5]), nodes=np.array([2, 0]))
+    with pytest.raises(ValueError, match="not binned from this log"):
+        calibrate_threshold(short, bin_events(other, 0.1))
 
 
 @pytest.mark.parametrize("use_triples", [True, False])
@@ -281,11 +285,26 @@ def test_graph_file_rejects_a_nan_threshold(tmp_path):
         load_graph(str(path))
 
 
+_GRAPH_HEADER = "# hawkesgraph-graph nodes=5 epsilon=0.05 horizon=100.0 threshold=0.02 source=user\n"
+
+
 def test_graph_file_names_missing_header_field(tmp_path):
     path = tmp_path / "truncated.txt"
-    path.write_text("# hawkesgraph-graph nodes=5 epsilon=0.05\n0 3\n")
-    with pytest.raises(ValueError, match=r"truncated\.txt.*'horizon'"):
-        load_graph(str(path))
+    for text, named in [
+        ("# hawkesgraph-graph nodes=5 epsilon=0.05\n0 3\n", r"truncated\.txt.*'horizon'"),
+        ("# hawkesgraph-graph nodes=5 epsilon=0.05 horizon 100.0\n0 3\n",
+         r"truncated\.txt: graph header token 'horizon' is not key=value"),
+        (_GRAPH_HEADER.replace("nodes=5", "nodes=five"),
+         r"truncated\.txt: invalid literal .* 'five'"),
+        # bad edge lines, named by line number
+        (_GRAPH_HEADER + "0 3\n0 1 2\n", r"truncated\.txt, line 3: '0 1 2' is not an edge"),
+        (_GRAPH_HEADER + "0 x\n", r"truncated\.txt, line 2: '0 x' is not an edge"),
+        (_GRAPH_HEADER + "0 3\n\n2 1\n", r"truncated\.txt, line 4: '2 1' is not an edge"),
+        (_GRAPH_HEADER + "0 5\n", r"truncated\.txt, line 2: '0 5' .* 0 <= i < j < 5"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named):
+            load_graph(str(path))
 
 
 def test_graph_file_names_an_unknown_source(tmp_path):

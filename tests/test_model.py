@@ -51,6 +51,10 @@ def test_baseline_validation():
         BaselineSpec(family="sinusoidal", level=1.0, amplitude=1.0)
     with pytest.raises(ValueError):
         BaselineSpec(family="constant", level=1.0).value(-0.1)
+    # a constant baseline's rate is its level: a field that would move it is rejected
+    for stray in ({"amplitude": 0.5}, {"frequency": 2.0}, {"phase": 0.3}, {"amplitude": math.nan}):
+        with pytest.raises(ValueError, match="constant baseline needs"):
+            BaselineSpec(family="constant", level=1.0, **stray)
 
 
 def test_exponential_kernel():
@@ -92,6 +96,9 @@ def test_kernel_validation():
         KernelSpec(family="modulated", decay=1.0, decay_amplitude=1.0)
     with pytest.raises(ValueError):
         KernelSpec(family="modulated", decay=1.0, decay_amplitude=0.0)
+    for stray in ({"decay_amplitude": 0.5}, {"decay_frequency": 3.0}):
+        with pytest.raises(ValueError, match="exponential kernel needs"):
+            KernelSpec(family="exponential", decay=1.0, **stray)
     k = KernelSpec(family="exponential", decay=1.0)
     with pytest.raises(ValueError):
         k.value(1.0, 2.0)
@@ -678,7 +685,15 @@ def test_model_file_text_and_fingerprint_are_pinned(tmp_path):
     (_FILE_TEXT.replace("constants:", "limits:"), "lacks 'constants'"),
     (_FILE_TEXT.replace("  max_degree: 4\n", ""), "lacks 'max_degree'"),
     (_FILE_TEXT.replace("  decay: 2.0\n", ""), "lacks 'decay'"),
-], ids=["empty", "no-constants-section", "no-max-degree", "no-kernel-decay"])
+    (_FILE_TEXT.replace("  level: 1.0\n", "  level: 1.0\n  amplitude: 0.9\n"),
+     "constant baseline needs amplitude, frequency and phase 0"),
+    (_FILE_TEXT.replace("  level: 1.0\n", "  level: -1.0\n"), "baseline level must be positive"),
+    (_FILE_TEXT.replace("  decay: 2.0\n", "  decay: 2.0\n  decay_frequency: 5.0\n"),
+     "exponential kernel needs"),
+    (_FILE_TEXT.replace("stability_slack: 0.05", "stability_slack: 1.5"), "stability_slack"),
+], ids=["empty", "no-constants-section", "no-max-degree", "no-kernel-decay",
+        "constant-baseline-amplitude", "negative-level", "exponential-kernel-frequency",
+        "slack-out-of-range"])
 def test_load_model_names_what_a_malformed_file_lacks(tmp_path, text, named):
     path = tmp_path / "bad.yaml"
     path.write_text(text)

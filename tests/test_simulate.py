@@ -564,6 +564,13 @@ def test_event_file_with_no_events(tmp_path, body):
 
 def test_event_file_names_missing_header_field(tmp_path):
     path = tmp_path / "truncated.log"
-    path.write_text("# hawkesgraph-events n=1 horizon=5.0\n1.0 0\n")
-    with pytest.raises(ValueError, match=r"truncated\.log.*'seed'"):
-        load_events(str(path))
+    for header, named in [
+        ("# hawkesgraph-events n=1 horizon=5.0\n", r"truncated\.log.*'seed'"),
+        ("# hawkesgraph-events n=1 horizon=5.0 seed=none model\n",
+         r"truncated\.log: event-log header token 'model' is not key=value"),
+        ("# hawkesgraph-events n=1 horizon=5.0 seed=x model=none\n",
+         r"truncated\.log: invalid literal .* 'x'"),
+    ]:
+        path.write_text(header + "1.0 0\n")
+        with pytest.raises(ValueError, match=named):
+            load_events(str(path))
