@@ -30,14 +30,13 @@ horizon, eps, seed = 10_000.0, 0.1, 2
 log = simulate(model, horizon, seed=seed)
 print(f"{len(log)} events over T={horizon:g}")
 
-threshold = calibrate_threshold(
-    log, eps, n_surrogates=50, seed=child_seed(seed, 1), use_triples=False
-)
+grid = bin_events(log, eps)
+threshold = calibrate_threshold(grid, n_surrogates=50, seed=child_seed(seed, 1), use_triples=False)
 config = DetectorConfig(
     epsilon=eps, horizon=horizon, threshold=threshold,
     source="calibrated", use_triples=False,
 )
-table = accumulate_all(bin_events(log, eps))
+table = accumulate_all(grid)
 scores = pair_scores(table, config.use_triples)
 for i, j in table:
     print(f"pair ({i}, {j}): score {scores[i, j]:.4f} vs threshold {threshold:.4f}")
@@ -46,9 +45,7 @@ print("recovered:", graph.sorted_edges)
 
 # Same log, triples back on: the calibrated threshold inflates with the
 # added null variance and the edge usually slips under it.
-threshold_t = calibrate_threshold(
-    log, eps, n_surrogates=50, seed=child_seed(seed, 1), use_triples=True
-)
+threshold_t = calibrate_threshold(grid, n_surrogates=50, seed=child_seed(seed, 1))
 config_t = DetectorConfig(
     epsilon=eps, horizon=horizon, threshold=threshold_t,
     source="calibrated", use_triples=True,

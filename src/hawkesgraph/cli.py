@@ -95,10 +95,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     sub, ambient = _observed_only(log, args.observed) if args.observed else (log, lambda g: g)
     grid = bin_events(sub, args.epsilon)
     if args.calibrate:
-        threshold = calibrate_threshold(
-            sub, grid, n_surrogates=args.surrogates, seed=args.seed,
-            use_triples=not args.no_triples,
-        )
+        try:
+            threshold = calibrate_threshold(grid, n_surrogates=args.surrogates, seed=args.seed,
+                                            use_triples=not args.no_triples)
+        except ValueError as exc:
+            args.usage_error(f"cannot calibrate on {args.events}: {exc}")
         source = "calibrated"
         print(f"calibrated threshold: {threshold:.6g}")
     else:

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SOURCES = ("user", "calibrated")
+_QUANTILE = 0.99  # of the surrogate null scores, for a calibrated threshold
 
 
 @dataclass(frozen=True)
@@ -72,19 +73,20 @@ class DetectorConfig:
 
 
 def _scores(
-    pair: np.ndarray, triple: np.ndarray, epsilon: float, horizon: float, use_triples: bool
+    pair: np.ndarray, triple: np.ndarray | None, epsilon: float, horizon: float
 ) -> np.ndarray:
-    """Elementwise |pair| / (T * eps) + |triple| / (T * eps^2)."""
+    """Elementwise |pair| / (T * eps), plus |triple| / (T * eps^2) unless triple is None."""
     t_eps = horizon * epsilon
     score = np.abs(pair) / t_eps
-    if use_triples:
+    if triple is not None:
         score = score + np.abs(triple) / (t_eps * epsilon)
     return score
 
 
 def pair_scores(table: PairTable, use_triples: bool = True) -> np.ndarray:
     """(n, n) normalized evidence that node i excites node j, for every (i, j)."""
-    return _scores(table.pair, table.triple, table.epsilon, table.horizon, use_triples)
+    triple = table.triple if use_triples else None
+    return _scores(table.pair, triple, table.epsilon, table.horizon)
 
 
 def detect(table: PairTable, config: DetectorConfig) -> DependencyGraph:
@@ -142,53 +144,51 @@ def _observed_only(
 
 
 def calibrate_threshold(
-    log: EventLog,
-    epsilon: float | BinGrid,
-    n_surrogates: int = 50,
-    quantile: float = 0.99,
-    seed: int = 0,
-    use_triples: bool = True,
+    grid: BinGrid, n_surrogates: int = 50, seed: int = 0, use_triples: bool = True
 ) -> float:
-    """Score quantile under surrogate data with cross-correlation destroyed.
+    """Threshold at the 0.99 quantile of the pairs' surrogate null scores.
 
-    Each surrogate circularly shifts one node's events by a uniform offset
-    (node k % n on the k-th surrogate), then scores both orderings of every
-    pair involving the shifted node.  ``detect`` adds an edge when either
-    ordering reaches the threshold, so a pair's null score is the larger of
-    its two; the pooled quantile of those is the threshold, and an edgeless
-    pair is then reported with probability about 1 - quantile.  (Pooling the
-    two orderings separately would let each cross it at that rate, nearly
-    doubling the false-edge rate.)
-
-    The log is packed once, or not at all when epsilon is given as its grid
-    ``bin_events(log, epsilon)``, for a caller that detects on it too; a
-    grid binned from any other log is rejected.  Each
-    surrogate's shifted events are gathered, with no loop over surrogates,
-    and packed into its row k of one (3, n_surrogates, words) block:
-    consecutive surrogates share one ``_pack`` call as long as their events
-    total at most max(events in the log, _BLOCK_BYTES / 64), so a group's
-    packing stays within about twice the log's memory.  Every surrogate is
-    then scored at once against every node's unchanged packed rows, with the
-    same popcount kernels as ``accumulate_all``; the scores equal those of
-    packing the whole shifted log.
+    The log and bin width are the grid's; ``_null_scores`` describes the
+    surrogates.  ``detect`` adds an edge when either ordering of a pair
+    reaches the threshold, so an edgeless pair is then reported with
+    probability about 0.01.  A log too sparse for any surrogate pair to
+    score gives a quantile of 0, which every pair would reach, and raises
+    ValueError instead.
     """
-    grid = epsilon if isinstance(epsilon, BinGrid) else None
-    if grid is not None:
-        epsilon = grid.epsilon
-        if grid.log is not log:
-            raise ValueError("the grid was not binned from this log")
-    if not 0 < quantile < 1:
-        raise ValueError("quantile must lie in (0, 1)")
+    threshold = float(np.quantile(_null_scores(grid, n_surrogates, seed, use_triples), _QUANTILE))
+    if threshold == 0.0:
+        raise ValueError(f"too few events were scored: the {_QUANTILE} quantile of the "
+                         f"surrogate scores is 0")
+    return threshold
+
+
+def _null_scores(grid: BinGrid, n_surrogates: int, seed: int, use_triples: bool) -> np.ndarray:
+    """Null scores of every pair under surrogates with cross-correlation destroyed.
+
+    Surrogate k circularly shifts one node's events of the grid's log by a
+    uniform offset (node k % n), then scores both orderings of every pair
+    involving the shifted node.  A pair's null score is the larger of its
+    two, as ``detect`` needs either ordering to cross.  (Pooling the two
+    orderings separately would let each cross at the null rate, nearly
+    doubling the false-edge rate.)  The scores come surrogate by surrogate,
+    each over the other nodes in index order.
+
+    Each surrogate's shifted events are gathered, with no loop over
+    surrogates, and packed into its row k of one (3, n_surrogates, words)
+    block: consecutive surrogates share one ``_pack`` call as long as their
+    events total at most max(events in the log, _BLOCK_BYTES / 64), so a
+    group's packing stays within about twice the log's memory.  Every
+    surrogate is then scored at once against every node's unchanged packed
+    rows, with the same popcount kernels as ``accumulate_all``; the scores
+    equal those of packing the whole shifted log.
+    """
+    log, epsilon = grid.log, grid.epsilon
     if n_surrogates < 1:
         raise ValueError("need at least one surrogate")
-    if len(log) == 0:
-        raise ValueError("cannot calibrate on an empty log")
     if log.n < 2:
         raise ValueError("calibration needs at least two nodes to pair")
     if window_count(log.horizon, epsilon) < 1:
         raise ValueError("horizon must cover at least one window (3 * epsilon)")
-    if grid is None:
-        grid = bin_events(log, epsilon)
     occupancy = grid.occupancy
     offsets = np.random.default_rng(seed).uniform(0.0, log.horizon, size=n_surrogates)
     shifted_node = np.arange(n_surrogates) % log.n
@@ -206,10 +206,11 @@ def calibrate_threshold(
     # The j-ordering's pair sum is the negated i-ordering's, of the same
     # magnitude, and rounding is monotone: the larger triple magnitude gives
     # the larger of the two orderings' scores bit for bit.
-    triple = np.maximum(np.abs(_triple(block, occupancy)), np.abs(_triple(occupancy, block).T))
-    scores = _scores(_pair(block, occupancy), triple, epsilon, log.horizon, use_triples)
-    others = np.arange(log.n) != shifted_node[:, None]
-    return float(np.quantile(scores[others], quantile))
+    triple = None
+    if use_triples:
+        triple = np.maximum(np.abs(_triple(block, occupancy)), np.abs(_triple(occupancy, block).T))
+    scores = _scores(_pair(block, occupancy), triple, epsilon, log.horizon)
+    return scores[np.arange(log.n) != shifted_node[:, None]]
 
 
 def _shifted_events(

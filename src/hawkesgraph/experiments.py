@@ -293,17 +293,16 @@ def run_trial(
 ) -> TrialResult:
     """Simulate, bin, accumulate, detect, and compare against the true graph.
 
-    With calibrate=True the config's threshold is replaced by the surrogate
-    quantile computed on this trial's own log (seeded from the trial seed, so
-    the whole trial stays deterministic).  Empty sets score 1.0: precision
-    with nothing recovered, recall with nothing to recover.
+    With calibrate=True the config's threshold is replaced by the one
+    ``calibrate_threshold`` finds on this trial's own grid (seeded from the
+    trial seed, so the whole trial stays deterministic).  Empty sets score
+    1.0: precision with nothing recovered, recall with nothing to recover.
     """
     start = time.perf_counter()
     log = simulate(model, config.horizon, seed)
     grid = bin_events(log, config.epsilon)
     if calibrate:
         threshold = calibrate_threshold(
-            log,
             grid,
             n_surrogates=n_surrogates,
             seed=child_seed(seed, 1),
@@ -546,9 +545,9 @@ def sweep(config: Mapping | str | Path, out_dir: str | Path) -> Path:
         args = [(cell, config, root_seed, k, t, surrogates) for t in range(seeds)]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_sweep_trial_star, args))
+                rows = list(pool.map(_run_sweep_trial, *zip(*args)))
         else:
-            rows = [_run_sweep_trial_star(a) for a in args]
+            rows = [_run_sweep_trial(*a) for a in args]
         tmp = shard.with_suffix(".tmp")
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -566,6 +565,3 @@ def sweep(config: Mapping | str | Path, out_dir: str | Path) -> Path:
                 writer.writerows(csv.DictReader(shard_fh))
     return results
 
-
-def _run_sweep_trial_star(args: tuple) -> dict:
-    return _run_sweep_trial(*args)

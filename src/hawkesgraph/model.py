@@ -127,26 +127,26 @@ class KernelSpec:
                 raise ValueError("kernel evaluated before its event time")
         return np.exp(-self.rate(s) * (np.asarray(t) - np.asarray(s)))
 
-    def integral(self, t, lower: float = 0.0):
-        """integral of phi(t, x) dx over x in [lower, t].
+    def integral(self, t):
+        """integral of phi(t, x) dx over x in [0, t], for t >= 0.
 
         Closed form for the exponential family, whose t is a scalar.  The
         modulated family takes a scalar or an array t.  Its rate has period
         P = 2 pi / |decay_frequency|, so phi(t, x - kP) = phi(t, x) q^k with
         q = exp(-rate(x) P).  A 16-point Gauss-Legendre rule covers x in
-        [t - min(P, reach, t - lower), t] only, reach = -log(1e-12) / rate_floor,
-        weights x by (1 - q^(K+1)) / (1 - q), K = floor((x - lower) / P), and is
+        [t - min(P, reach, t), t] only, reach = -log(1e-12) / rate_floor,
+        weights x by (1 - q^(K+1)) / (1 - q), K = floor(x / P), and is
         split where K steps.  Panels are 1/12 of the shortest of 1/rate_cap,
         1/|decay_frequency| and 1/(|decay_frequency| sqrt(|decay_amplitude| reach)).
         A rule of more than _MAX_VALUES values per t raises ValueError.
         """
         if self.family == "exponential":
-            if not 0.0 <= lower <= t:
-                raise ValueError("integral needs 0 <= lower <= t")
-            return (1.0 - math.exp(-self.decay * (t - lower))) / self.decay
+            if not t >= 0.0:
+                raise ValueError("integral needs t >= 0")
+            return (1.0 - math.exp(-self.decay * t)) / self.decay
         t = np.asarray(t, dtype=float)
-        if lower < 0.0 or not (t >= lower).all():  # NaN fails too
-            raise ValueError("integral needs 0 <= lower <= t")
+        if not (t >= 0.0).all():  # NaN fails too
+            raise ValueError("integral needs t >= 0")
         period = 2.0 * math.pi / abs(self.decay_frequency) if self.decay_frequency else math.inf
         reach = _PRUNE_LOG / self.rate_floor()
         scale = self.rate_cap() + abs(self.decay_frequency) * (
@@ -156,7 +156,7 @@ class KernelSpec:
         size = nodes.size * (panels + 1)  # one more panel for the split
         if size > _MAX_VALUES:
             raise ValueError(f"{self} needs {size} integrand values per t, over {_MAX_VALUES}")
-        since = (t - lower).ravel()
+        since = t.ravel()
         width, grid = np.minimum(since, min(period, reach)), np.arange(panels + 1) / panels
         cut = np.minimum(np.fmod(since, period), width)[:, None]  # the age where K steps
         out, rows = np.empty(since.size), _MAX_VALUES // size
@@ -168,7 +168,7 @@ class KernelSpec:
             copies = np.floor((since[b, None] - mid) / period)[:, :, None] + 1.0  # K + 1
             f = half[:, :, None] * nodes
             f += mid[:, :, None]  # ages u = t - x
-            rate = t.ravel()[b, None, None] - f  # event times x, then -rate(x) in place
+            rate = since[b, None, None] - f  # event times x, then -rate(x) in place
             np.sin(np.multiply(rate, self.decay_frequency, out=rate), out=rate)
             rate *= -self.decay_amplitude
             rate -= self.decay

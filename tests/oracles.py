@@ -45,22 +45,22 @@ def naive_pair_stats(log: EventLog, i: int, j: int, epsilon: float):
     return d1, d2, windows
 
 
-def reference_calibration(
+def reference_null_scores(
     log: EventLog,
     epsilon: float,
     n_surrogates: int,
-    quantile: float,
     seed: int,
     use_triples: bool,
-) -> float:
-    """Surrogate threshold recomputed one pair at a time from timestamps.
+) -> np.ndarray:
+    """Surrogate null scores recomputed one pair at a time from timestamps.
 
     Surrogate k circularly shifts node k % n by a uniform offset drawn from
     default_rng(seed), builds the whole shifted log, and recounts both
     orderings of every pair involving that node with naive_pair_stats.
     Scores are |pair_sum| / (T * eps) plus, with triples, |triple_sum| /
-    (T * eps^2); a pair's null score is the larger of its two orderings, and
-    the threshold is the pooled quantile of those.
+    (T * eps^2); a pair's null score is the larger of its two orderings.
+    They are returned surrogate by surrogate, each over the other nodes in
+    index order.
     """
     rng = np.random.default_rng(seed)
     t_eps = log.horizon * epsilon
@@ -83,7 +83,7 @@ def reference_calibration(
                     score += abs(d2) / (t_eps * epsilon)
                 both.append(score)
             scores.append(max(both))
-    return float(np.quantile(np.array(scores), quantile))
+    return np.array(scores)
 
 
 def reference_weight_bounds(model: HawkesModel) -> tuple[float, str]:

@@ -3,8 +3,8 @@ import yaml
 from oracles import build_model
 
 from hawkesgraph import (
-    EventLog, calibrate_threshold, expectations, load_events, load_graph, mc_delta_drift,
-    mc_indicator, save_events, save_model, simulate,
+    EventLog, bin_events, calibrate_threshold, expectations, load_events, load_graph,
+    mc_delta_drift, mc_indicator, save_events, save_model, simulate,
 )
 from hawkesgraph.cli import main
 
@@ -110,7 +110,7 @@ def test_detect_command_observed_calibrates_on_observed_nodes(chain, tmp_path, c
         assert graph.n == 3 and all(1 not in edge for edge in graph.edges)
         thresholds.append(config.threshold)
     assert thresholds[0] == thresholds[1] == calibrate_threshold(
-        renumbered, 0.1, n_surrogates=10, seed=5)
+        bin_events(renumbered, 0.1), n_surrogates=10, seed=5)
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
         main(["detect", "--events", events_path, "--epsilon", "0.1", "--calibrate",
@@ -127,6 +127,19 @@ def test_detect_rejects_horizon_beyond_the_log(chain, capsys, mode):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "--horizon 250.0" in err and "200.0" in err
+
+
+@pytest.mark.parametrize("observed", [[], ["--observed", "0,2"]])
+def test_detect_rejects_calibration_with_nothing_to_score(tmp_path, capsys, observed):
+    # two events of node 1 alone: every surrogate scores 0, with or without
+    # node 1, and a threshold of 0 would report every pair
+    events = tmp_path / "sparse.txt"
+    save_events(EventLog(n=3, horizon=10.0, times=[2.05, 6.05], nodes=[1, 1]), events)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--events", str(events), "--epsilon", "0.1", "--calibrate", *observed])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot calibrate on {events}: too few events were scored" in err
 
 
 @pytest.mark.parametrize("observed", ["0,a", "0,,2", "-1,2", "0,3"])

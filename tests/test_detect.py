@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import tracemalloc
@@ -21,7 +22,8 @@ from hawkesgraph import (
     simulate,
     window_count,
 )
-from oracles import build_model, reference_calibration
+from hawkesgraph.detect import _null_scores
+from oracles import build_model, reference_null_scores
 
 
 def _table(pair, triple, windows=100, eps=0.1, horizon=30.0):
@@ -59,8 +61,8 @@ def test_one_window_rule_for_config_and_calibration():
     config = DetectorConfig(epsilon=0.1, horizon=0.3, threshold=1.0)
     log = EventLog(n=2, horizon=0.3, times=np.array([0.05, 0.15, 0.25]),
                    nodes=np.array([0, 1, 0]))
-    got = calibrate_threshold(log, config.epsilon, n_surrogates=4, quantile=0.5, seed=0)
-    assert got == reference_calibration(log, config.epsilon, 4, 0.5, 0, True)
+    got = _null_scores(bin_events(log, config.epsilon), 4, 0, True)
+    assert np.array_equal(got, reference_null_scores(log, config.epsilon, 4, 0, True))
     with pytest.raises(ValueError, match="at least one window"):
         DetectorConfig(epsilon=0.1, horizon=0.29, threshold=1.0)
 
@@ -108,43 +110,39 @@ def test_detect_node_count_and_config_mismatch():
 def test_calibrate_threshold_deterministic_and_positive():
     model = build_model(2, {(1, 0): 0.5, (0, 0): 0.7, (1, 1): 0.7}, decay=2.0)
     log = simulate(model, 200.0, seed=0)
-    a = calibrate_threshold(log, 0.1, n_surrogates=10, seed=4)
-    b = calibrate_threshold(log, 0.1, n_surrogates=10, seed=4)
-    c = calibrate_threshold(log, 0.1, n_surrogates=10, seed=5)
+    grid = bin_events(log, 0.1)
+    a = calibrate_threshold(grid, n_surrogates=10, seed=4)
+    b = calibrate_threshold(grid, n_surrogates=10, seed=4)
+    c = calibrate_threshold(grid, n_surrogates=10, seed=5)
     assert a == b
     assert a != c
     assert a > 0
-    # the log's own grid in place of epsilon: the same draws and scores
-    assert calibrate_threshold(log, bin_events(log, 0.1), n_surrogates=10, seed=4) == a
-    lower_q = calibrate_threshold(log, 0.1, n_surrogates=10, seed=4, quantile=0.5)
-    assert lower_q <= a
+    assert a == np.quantile(_null_scores(grid, 10, 4, True), 0.99)
 
 
 def test_calibrate_threshold_validation():
     model = build_model(1, {})
     log = simulate(model, 20.0, seed=0)
+    grid = bin_events(log, 0.1)
     with pytest.raises(ValueError):
-        calibrate_threshold(log, 0.1, quantile=1.0)
-    with pytest.raises(ValueError):
-        calibrate_threshold(log, 0.1, n_surrogates=0)
+        calibrate_threshold(grid, n_surrogates=0)
     empty = EventLog(n=1, horizon=5.0, times=np.array([]), nodes=np.array([]))
     with pytest.raises(ValueError):
-        calibrate_threshold(empty, 0.1)
+        calibrate_threshold(bin_events(empty, 0.1))
     assert len(log) > 0
     with pytest.raises(ValueError, match="two nodes"):
-        calibrate_threshold(log, 0.1)
+        calibrate_threshold(grid)
     short = EventLog(n=3, horizon=1.0, times=np.array([0.1, 0.4, 0.8]), nodes=np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="at least one window"):
-        calibrate_threshold(short, 0.5)
+        calibrate_threshold(bin_events(short, 0.5))
     with pytest.raises(ValueError, match="must be positive"):
-        calibrate_threshold(short, 0.0)
-    with pytest.raises(ValueError, match="not binned from this log"):
-        calibrate_threshold(short, bin_events(EventLog(n=3, horizon=2.0, times=short.times,
-                                                       nodes=short.nodes), 0.1))
-    # another log of the same n and horizon: its grid would calibrate on its events
-    other = EventLog(n=3, horizon=1.0, times=np.array([0.2, 0.5]), nodes=np.array([2, 0]))
-    with pytest.raises(ValueError, match="not binned from this log"):
-        calibrate_threshold(short, bin_events(other, 0.1))
+        calibrate_threshold(bin_events(short, 0.0))
+    # every surrogate score is 0 when no window holds a pair's events:
+    # a threshold of 0 would report every pair
+    for times, nodes in (([], []), ([0.15, 0.55], [1, 1])):
+        sparse = EventLog(n=3, horizon=1.0, times=np.array(times), nodes=np.array(nodes, int))
+        with pytest.raises(ValueError, match="too few events were scored"):
+            calibrate_threshold(bin_events(sparse, 0.1))
 
 
 @pytest.mark.parametrize("use_triples", [True, False])
@@ -153,20 +151,28 @@ def test_calibrate_threshold_equals_reference(use_triples, monkeypatch):
     log = simulate(model, 60.0, seed=2)
     # 200 windows: several packed words per node; 11 surrogates cycle
     # through the three nodes unevenly
-    for quantile in (0.5, 0.9):
-        got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=quantile, seed=3,
-                                  use_triples=use_triples)
-        assert got == reference_calibration(log, 0.1, 11, quantile, 3, use_triples)
+    detect_module = importlib.import_module("hawkesgraph.detect")
+    triple, triple_calls = detect_module._triple, []
+
+    def counted_triple(*args):
+        triple_calls.append(args)
+        return triple(*args)
+
+    monkeypatch.setattr(detect_module, "_triple", counted_triple)
+    grid = bin_events(log, 0.1)
+    expected = reference_null_scores(log, 0.1, 11, 3, use_triples)
+    assert np.array_equal(_null_scores(grid, 11, 3, use_triples), expected)
+    assert len(triple_calls) == (2 if use_triples else 0)  # the ablation skips the term
+    assert calibrate_threshold(grid, 11, 3, use_triples) == np.quantile(expected, 0.99)
     # a silent fourth node shifts into an all-zero surrogate row; fewer
     # surrogates than nodes, a multiple of the node count, and neither
     silent = EventLog(n=4, horizon=log.horizon, times=log.times, nodes=log.nodes)
     for n_surrogates in (1, 3, 8, 9):
-        got = calibrate_threshold(silent, 0.1, n_surrogates=n_surrogates, quantile=0.9, seed=5,
-                                  use_triples=use_triples)
-        assert got == reference_calibration(silent, 0.1, n_surrogates, 0.9, 5, use_triples)
+        got = _null_scores(bin_events(silent, 0.1), n_surrogates, 5, use_triples)
+        assert np.array_equal(got, reference_null_scores(silent, 0.1, n_surrogates, 5,
+                                                         use_triples))
     # a budget of 1.5 logs' worth of events packs the surrogates in several
     # groups, not all starting at node 0, which must score as one pass does
-    detect_module = importlib.import_module("hawkesgraph.detect")
     group_sizes = []
     pack = detect_module._pack
 
@@ -176,16 +182,13 @@ def test_calibrate_threshold_equals_reference(use_triples, monkeypatch):
 
     monkeypatch.setattr(detect_module, "_pack", counted)
     monkeypatch.setattr(detect_module, "_BLOCK_BYTES", 64 * (3 * len(log) // 2))
-    got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=0.9, seed=3,
-                              use_triples=use_triples)
+    got = _null_scores(grid, 11, 3, use_triples)
     starts = np.cumsum(group_sizes) - group_sizes
     assert sum(group_sizes) == 11 and len(starts) > 2 and np.any(starts % 3)
-    assert got == reference_calibration(log, 0.1, 11, 0.9, 3, use_triples)
+    assert np.array_equal(got, expected)
     # a one-byte kernel budget: blocks of one row, chunks of one nonzero word
     monkeypatch.setattr(importlib.import_module("hawkesgraph.stats"), "_BLOCK_BYTES", 1)
-    got = calibrate_threshold(log, 0.1, n_surrogates=11, quantile=0.9, seed=3,
-                              use_triples=use_triples)
-    assert got == reference_calibration(log, 0.1, 11, 0.9, 3, use_triples)
+    assert np.array_equal(_null_scores(grid, 11, 3, use_triples), expected)
     # node 0's event at T - offset lands exactly on T under surrogate 0's
     # shift and wraps to bin 0, next to node 1's event in bin 1; left at T
     # it would sit in the last bin and the pair would score 0
@@ -193,15 +196,48 @@ def test_calibrate_threshold_equals_reference(use_triples, monkeypatch):
     edge = EventLog(n=2, horizon=0.9, times=np.array([0.9 - offset, 0.15]),
                     nodes=np.array([0, 1]))
     assert edge.times_of(0)[0] + offset == 0.9
-    got = calibrate_threshold(edge, 0.1, n_surrogates=1, quantile=0.5, seed=4,
-                              use_triples=use_triples)
-    assert got > 0 and got == reference_calibration(edge, 0.1, 1, 0.5, 4, use_triples)
+    got = _null_scores(bin_events(edge, 0.1), 1, 4, use_triples)
+    assert got[0] > 0 and np.array_equal(got, reference_null_scores(edge, 0.1, 1, 4,
+                                                                    use_triples))
     # a sum that rounds up to 2T wraps to 0 too, as under np.mod
     near = np.nextafter(1.0, 0.0)
     assert 1.0 + near == 2.0
     edge = EventLog(n=2, horizon=1.0, times=np.array([0.0, 0.5, 1.0]), nodes=np.array([0, 1, 0]))
     times, rows = detect_module._shifted_events(edge, np.array([near]), 0)
     assert times.tolist() == [near, 0.0] and rows.tolist() == [0, 0]
+
+
+def test_tables_and_thresholds_are_pinned():
+    # Random logs with n in 2..12, T in [3, 100], tied times and events at
+    # exactly T, at every bin width that leaves a window; 1, 7 and 50
+    # surrogates with and without the triple term.  A calibration that
+    # raises hashes as a fixed token.  A change that moves any statistic or
+    # threshold must update the pin.
+    h, raised = hashlib.sha256(), 0
+    for k in range(24):
+        rng = np.random.default_rng(k)
+        n, horizon = int(rng.integers(2, 13)), float(rng.uniform(3.0, 100.0))
+        size = int(rng.integers(1, 40 * n * horizon ** 0.5))
+        times = rng.uniform(0.0, horizon, size)
+        times[: size // 10] = np.round(times[: size // 10], 1)
+        times[-2:] = horizon
+        log = EventLog(n=n, horizon=horizon, times=np.minimum(times, horizon),
+                       nodes=rng.integers(0, n, size))
+        for eps in (0.01, 0.05, 0.1, 0.3):
+            if window_count(horizon, eps) < 1:
+                continue
+            grid = bin_events(log, eps)
+            table = accumulate_all(grid)
+            h.update(table.pair.tobytes() + table.triple.tobytes() + repr(table.windows).encode())
+            for n_surrogates in (1, 7, 50):
+                for use_triples in (True, False):
+                    try:
+                        got = repr(calibrate_threshold(grid, n_surrogates, k, use_triples))
+                    except ValueError:
+                        got, raised = "raised", raised + 1
+                    h.update(got.encode())
+    assert raised == 4
+    assert h.hexdigest() == "31a3ac7f9e23f4ab2ca3820204bb75b5097f63559450b324800f5e1179bbe0c4"
 
 
 def test_calibration_gathers_surrogates_in_bounded_groups(monkeypatch):
@@ -214,14 +250,14 @@ def test_calibration_gathers_surrogates_in_bounded_groups(monkeypatch):
                    nodes=rng.integers(0, 2, size))
     tracemalloc.start()
     try:
-        grouped = calibrate_threshold(log, 0.01, n_surrogates=8)
+        grouped = calibrate_threshold(bin_events(log, 0.01), n_surrogates=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24_000_000
     detect_module = importlib.import_module("hawkesgraph.detect")
     monkeypatch.setattr(detect_module, "_BLOCK_BYTES", 1 << 40)
-    assert calibrate_threshold(log, 0.01, n_surrogates=8) == grouped
+    assert calibrate_threshold(bin_events(log, 0.01), n_surrogates=8) == grouped
 
 
 def test_packed_statistics_memory_is_bounded():
@@ -231,7 +267,7 @@ def test_packed_statistics_memory_is_bounded():
     times = np.sort(rng.uniform(0.0, 1e4, size=4000))
     log = EventLog(n=4, horizon=1e4, times=times, nodes=rng.integers(0, 4, size=4000))
     for run in (lambda: accumulate_all(bin_events(log, 0.01)),
-                lambda: calibrate_threshold(log, 0.01, n_surrogates=8)):
+                lambda: calibrate_threshold(bin_events(log, 0.01), n_surrogates=8)):
         tracemalloc.start()
         try:
             run()

@@ -168,6 +168,15 @@ def test_run_trial_on_empty_graph():
     assert result.wall_time > 0
 
 
+def test_run_trial_rejects_calibration_with_nothing_to_score():
+    # seed 0 simulates one event in T = 50, so every surrogate pair scores 0,
+    # and a threshold of 0 would report every pair
+    model = planted_model(3, {}, self_weight=0.1, decay=2.0, baseline_level=0.02)
+    config = DetectorConfig(epsilon=0.1, horizon=50.0, threshold=1.0)
+    with pytest.raises(ValueError, match="too few events were scored"):
+        run_trial(model, config, seed=0, calibrate=True)
+
+
 def _fake_trial(seed, n, d, horizon, peak):
     config = DetectorConfig(epsilon=0.1, horizon=horizon, threshold=1.0)
     return TrialResult(

@@ -68,9 +68,9 @@ def test_exponential_kernel():
 
 def test_exponential_integral_closed_form_matches_quadrature():
     k = KernelSpec(family="exponential", decay=1.7)
-    for t, lower in [(2.0, 0.0), (5.0, 1.5), (0.3, 0.0)]:
-        expected, _ = quad(lambda x: k.value(t, x), lower, t, epsabs=1e-13)
-        assert k.integral(t, lower) == pytest.approx(expected, abs=1e-10)
+    for t in (2.0, 5.0, 0.3, 0.0):
+        expected, _ = quad(lambda x: k.value(t, x), 0.0, t, epsabs=1e-13)
+        assert k.integral(t) == pytest.approx(expected, abs=1e-10)
 
 
 def test_modulated_kernel():
@@ -82,8 +82,8 @@ def test_modulated_kernel():
     assert k.rate_floor() == pytest.approx(1.5)
     assert k.rate_cap() == pytest.approx(2.5)
     assert k.mass_bound() == pytest.approx(1.0 / 1.5)
-    got = k.integral(2.0, 0.5)
-    expected, _ = quad(lambda x: k.value(2.0, x), 0.5, 2.0, epsabs=1e-13)
+    got = k.integral(2.0)
+    expected, _ = quad(lambda x: k.value(2.0, x), 0.0, 2.0, epsabs=1e-13)
     assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -104,10 +104,10 @@ def test_kernel_validation():
         k.value(1.0, 2.0)
     with pytest.raises(ValueError):
         k.value(1.0, -0.5)
-    with pytest.raises(ValueError):
-        k.integral(1.0, 2.0)
+    with pytest.raises(ValueError, match="integral needs"):
+        k.integral(-1.0)
     modulated = KernelSpec(family="modulated", decay=2.0, decay_amplitude=1.0, decay_frequency=1.0)
-    for t in (math.nan, np.array([1.0, math.nan])):
+    for t in (math.nan, np.array([1.0, math.nan]), -1.0, np.array([1.0, -1e-9])):
         with pytest.raises(ValueError, match="integral needs"):
             modulated.integral(t)
 
@@ -492,10 +492,10 @@ def test_slow_fast_modulated_integral_stays_in_bounded_memory():
         assert value == pytest.approx(expected, abs=1e-11)
 
 
-def _per_period_quad(k, t, lower):
+def _per_period_quad(k, t):
     # quad on one period of the reach window at a time, newest first
     period = 2 * math.pi / abs(k.decay_frequency)
-    start = max(lower, t + math.log(1e-12) / k.rate_floor())
+    start = max(0.0, t + math.log(1e-12) / k.rate_floor())
     edges = np.append(np.arange(t, start, -period), start)[::-1]
     return sum(quad(lambda x: k.value(t, x), a, b, epsabs=1e-15)[0]
                for a, b in zip(edges[:-1], edges[1:]))
@@ -510,10 +510,9 @@ _TINY_FLOOR_KERNELS = [(1.0, 0.99, 20.0), (1.0, 0.999, 1.0)]
 def test_tiny_rate_floor_kernels_fold_onto_one_period(decay, amplitude, frequency):
     kernel = KernelSpec(family="modulated", decay=decay, decay_amplitude=amplitude,
                         decay_frequency=frequency)
-    for lower in (0.0, 0.37):
-        ts = np.array([lower, lower + 0.3, 5.0, 97.3])
-        for t, value in zip(ts, kernel.integral(ts, lower)):
-            assert value == pytest.approx(_per_period_quad(kernel, t, lower), abs=1e-10)
+    ts = np.array([0.0, 0.3, 0.37, 0.67, 5.0, 97.3])
+    for t, value in zip(ts, kernel.integral(ts)):
+        assert value == pytest.approx(_per_period_quad(kernel, t), abs=1e-10)
     m = HawkesModel(
         n=1, weights={(0, 0): 0.001}, baselines=(BaselineSpec(family="constant", level=1.0),),
         default_kernel=kernel, constants=plain_constants(kernel_mass_bound=kernel.mass_bound()),
@@ -529,15 +528,15 @@ def test_tiny_rate_floor_kernels_fold_onto_one_period(decay, amplitude, frequenc
 @pytest.mark.parametrize("decay, amplitude, frequency", [(2.0, 1.5, 1.3)] + _TINY_FLOOR_KERNELS)
 def test_modulated_integral_is_split_where_the_copy_count_steps(decay, amplitude, frequency,
                                                                 periods):
-    # Past t = lower + periods * P the window's oldest copies reach lower, so
-    # inside the window their count steps at age t - lower - periods * P.
+    # Past t = periods * P the window's oldest copies reach 0, so inside the
+    # window their count steps at age t - periods * P.
     k = KernelSpec(family="modulated", decay=decay, decay_amplitude=amplitude,
                    decay_frequency=frequency)
-    lower, period = 0.37, 2 * math.pi / frequency
-    step = lower + periods * period
+    period = 2 * math.pi / frequency
+    step = periods * period
     ts = step + np.array([-1e-9, 0.0, 1e-9, 0.01 * period, 0.1 * period])
-    for t, value in zip(ts, k.integral(ts, lower)):
-        assert value == pytest.approx(_per_period_quad(k, t, lower), abs=1e-11)
+    for t, value in zip(ts, k.integral(ts)):
+        assert value == pytest.approx(_per_period_quad(k, t), abs=1e-11)
 
 
 def test_modulated_rule_past_the_value_budget_is_rejected():
